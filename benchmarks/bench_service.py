@@ -25,22 +25,15 @@ benchmark records both effects in ``BENCH_service.json``:
 * **module reuse** — a distinct-but-overlapping follow-up workflow reuses
   the shared module tier (``reused_modules``), proving that the serving win
   is not limited to byte-identical requests.
-* **scaling** — N *distinct* concurrent requests (distinct workflows, so
-  nothing coalesces and nothing caches) against the thread tier vs the
-  process execution tier at ``--exec-workers`` 1, 2 and 4.  The thread
-  tier timeslices one core behind the GIL; the process tier should
-  approach linear scaling on real cores.  The recorded floor for the
-  4-worker speedup is hardware-conditional (``scaling.floor``): 2x where
-  ``os.cpu_count() >= 4``, a sanity floor on smaller boxes where the win
-  is physically unmeasurable — the regression gate reads the floor from
-  the record.  The phase also re-runs the coalescing check in process
-  mode: K identical in-flight requests must still perform exactly one
-  derivation, on one worker.
-* **replicas** — the same distinct traffic against ``repro fleet`` fronts
-  of 1, 2 and 4 single-process replicas: one replica timeslices the GIL,
-  N replicas are N interpreters, so on real cores the curve should bend
-  like the process tier's (floor recorded as ``replicas.floor``, same
-  hardware conditionality as ``scaling.floor``).  The phase also proves
+* **replicas** — N *distinct* concurrent requests (distinct workflows, so
+  nothing coalesces and nothing caches) against ``repro fleet`` fronts of
+  1, 2 and 4 replicas.  The fleet is the service's one multi-core
+  mechanism: one replica timeslices the GIL, N replicas are N
+  interpreters, so on real cores the curve should approach linear.  The
+  recorded floor for the 4-replica speedup is hardware-conditional
+  (``replicas.floor``): 2x where ``os.cpu_count() >= 4``, a sanity floor
+  on smaller boxes where the win is physically unmeasurable — the
+  regression gate reads the floor from the record.  The phase also proves
   the *shared-store* reuse invariant: K identical requests through a
   2-replica fleet with ``--result-cache-size 0`` perform exactly one
   derivation fleet-wide — every repeat is a store result-tier hit,
@@ -75,19 +68,6 @@ SPEEDUP_FLOOR = 2.0
 
 #: Concurrent identical requests in the coalescing phase.
 K_CONCURRENT = 6
-
-#: Execution-tier sizes the scaling phase times distinct traffic against.
-SCALING_WORKER_COUNTS = (1, 2, 4)
-
-#: Floor for ``thread_seconds / process_4_workers_seconds``.  On >= 4 cores
-#: the 4-worker process tier must at least double the GIL-bound thread
-#: tier; on smaller boxes the win is physically unmeasurable, so the floor
-#: degrades to a sanity bound ("the tier is not pathologically slower").
-#: The regression gate dereferences the floor from the record
-#: (``@scaling.floor``) rather than hard-coding either value.
-SCALING_FLOOR_MULTICORE = 2.0
-SCALING_FLOOR_FALLBACK = 0.2
-
 
 
 def _derivation_heavy_workflow(tiny: bool, reroll: int | None = None) -> Workflow:
@@ -176,21 +156,13 @@ def run_throughput_phase(tiny: bool, workdir: Path) -> dict:
 # Phase 2: K identical concurrent requests -> one derivation
 # ---------------------------------------------------------------------------
 
-def _coalesce_once(tiny: bool, attempt: int, exec_mode: str = "threads") -> dict:
+def _coalesce_once(tiny: bool, attempt: int) -> dict:
     workflow = _derivation_heavy_workflow(tiny)
     payload = workflow_to_dict(workflow)
     body = {"workflow": payload, "gamma": 2, "kind": "cardinality", "solver": "auto"}
-    exec_workers = 2 if exec_mode == "processes" else None
     service = SolveService(
-        workers=2, default_timeout=300.0,
-        exec_mode=exec_mode, exec_workers=exec_workers,
-        maintenance_interval=None,
+        workers=2, default_timeout=300.0, maintenance_interval=None
     )
-    if service.exec_tier is not None:
-        assert service.exec_tier.wait_ready(120)
-        # Hold dispatch until every request has attached: the process-mode
-        # check is deterministic — no barrier racing, no retries.
-        service.exec_tier.pause()
     barrier = threading.Barrier(K_CONCURRENT)
     results: list[dict | None] = [None] * K_CONCURRENT
     errors: list[BaseException] = []
@@ -206,12 +178,6 @@ def _coalesce_once(tiny: bool, attempt: int, exec_mode: str = "threads") -> dict
     started = time.perf_counter()
     for thread in threads:
         thread.start()
-    if service.exec_tier is not None:
-        from repro.service import parse_solve_payload
-
-        key = parse_solve_payload(dict(body), service.instances).key
-        assert service.coalescer.await_waiters(key, K_CONCURRENT, timeout=60)
-        service.exec_tier.resume()
     for thread in threads:
         thread.join(timeout=300)
     seconds = time.perf_counter() - started
@@ -222,11 +188,9 @@ def _coalesce_once(tiny: bool, attempt: int, exec_mode: str = "threads") -> dict
     assert len(costs) == 1, costs
     return {
         "attempt": attempt,
-        "exec_mode": exec_mode,
         "requests": K_CONCURRENT,
         "coalesced": metrics["coalesced"],
         "derivations": metrics["cache"]["derivation_misses"],
-        "dispatched": metrics["exec"]["dispatched"],
         "seconds": seconds,
     }
 
@@ -250,17 +214,6 @@ def run_coalescing_phase(tiny: bool) -> dict:
         return outcome  # the caller asserts and reports the last attempt
     finally:
         sys.setswitchinterval(previous_interval)
-
-
-def run_process_coalescing_phase(tiny: bool) -> dict:
-    """K identical in-flight requests on the *process* tier: the coalescing
-    invariant must hold across the process boundary — one leader, one
-    dispatch, one derivation (in a worker, its cache delta merged back)."""
-    outcome = _coalesce_once(tiny, attempt=1, exec_mode="processes")
-    assert outcome["coalesced"] == K_CONCURRENT - 1, outcome
-    assert outcome["derivations"] == 1, outcome
-    assert outcome["dispatched"] == 1, outcome
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +283,23 @@ def run_module_reuse_phase(tiny: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Phase 5: execution-tier scaling — distinct traffic vs --exec-workers
+# Phase 5: replica fleet — distinct traffic vs fleet size; shared-store reuse
 # ---------------------------------------------------------------------------
 
-def _scaling_bodies(tiny: bool) -> list[dict]:
+#: Fleet sizes the replica phase times distinct traffic against.
+REPLICA_COUNTS = (1, 2, 4)
+
+#: Floor for ``fleet_1_replica_seconds / fleet_4_replicas_seconds``.  Each
+#: replica is one GIL-bound process, so on >= 4 cores four replicas must at
+#: least double one; on smaller boxes the win is physically unmeasurable,
+#: so the floor degrades to a sanity bound ("the fleet is not
+#: pathologically slower").  The regression gate dereferences
+#: ``@replicas.floor`` from the record rather than hard-coding either value.
+REPLICAS_FLOOR_MULTICORE = 2.0
+REPLICAS_FLOOR_FALLBACK = 0.2
+
+
+def _distinct_bodies(tiny: bool) -> list[dict]:
     """Distinct derivation-heavy workflows: nothing coalesces, nothing is
     served from a cache — every request is a real, independent computation."""
     n_requests = 4 if tiny else 8
@@ -347,7 +313,7 @@ def _scaling_bodies(tiny: bool) -> list[dict]:
             )
             for slot in range(n_modules)
         ]
-        workflow = Workflow(modules, name=f"scaling-{index}")
+        workflow = Workflow(modules, name=f"distinct-{index}")
         bodies.append(
             {
                 "workflow": workflow_to_dict(workflow),
@@ -359,89 +325,12 @@ def _scaling_bodies(tiny: bool) -> list[dict]:
     return bodies
 
 
-def _timed_distinct_run(
-    bodies: list[dict], exec_mode: str, exec_workers: int | None
-) -> float:
-    """Fire every body concurrently against a fresh service; wall seconds."""
-    service = SolveService(
-        workers=len(bodies), default_timeout=600.0,
-        exec_mode=exec_mode, exec_workers=exec_workers,
-        maintenance_interval=None,
-    )
-    if service.exec_tier is not None:
-        # Time the steady state, not interpreter start-up: workers must
-        # have bootstrapped before the clock starts.
-        assert service.exec_tier.wait_ready(120)
-    barrier = threading.Barrier(len(bodies))
-    errors: list[BaseException] = []
-
-    def call(body: dict) -> None:
-        try:
-            barrier.wait(timeout=60)
-            record = service.solve_payload(dict(body))
-            assert record["cost"] >= 0
-        except BaseException as exc:  # noqa: BLE001 - surfaced via assert
-            errors.append(exc)
-
-    threads = [threading.Thread(target=call, args=(body,)) for body in bodies]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600)
-    seconds = time.perf_counter() - started
-    assert not errors, errors
-    metrics = service.metrics()
-    service.drain(timeout=30)
-    assert metrics["coalesced"] == 0, metrics  # the traffic really is distinct
-    if exec_mode == "processes":
-        assert metrics["exec"]["dispatched"] == len(bodies), metrics["exec"]
-        assert metrics["exec"]["inline_fallbacks"] == 0, metrics["exec"]
-    return seconds
-
-
-def run_scaling_phase(tiny: bool) -> dict:
-    bodies = _scaling_bodies(tiny)
-    thread_seconds = _timed_distinct_run(bodies, "threads", None)
-    process_seconds = {
-        workers: _timed_distinct_run(bodies, "processes", workers)
-        for workers in SCALING_WORKER_COUNTS
-    }
-    cpus = os.cpu_count() or 1
-    floor = SCALING_FLOOR_MULTICORE if cpus >= 4 else SCALING_FLOOR_FALLBACK
-    best = process_seconds[SCALING_WORKER_COUNTS[-1]]
-    return {
-        "requests": len(bodies),
-        "thread_seconds": thread_seconds,
-        "process_seconds": {str(w): s for w, s in process_seconds.items()},
-        "speedup_4_workers": thread_seconds / best if best > 0 else float("inf"),
-        "cpus": cpus,
-        "floor": floor,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Phase 6: replica fleet — distinct traffic vs fleet size; shared-store reuse
-# ---------------------------------------------------------------------------
-
-#: Fleet sizes the replica phase times distinct traffic against.
-REPLICA_COUNTS = (1, 2, 4)
-
-#: Floor for ``fleet_1_replica_seconds / fleet_4_replicas_seconds``.  Same
-#: hardware conditionality as the exec-tier scaling floor: each replica is
-#: one GIL-bound process, so on >= 4 cores four replicas must at least
-#: double one; on smaller boxes the floor degrades to a sanity bound.  The
-#: regression gate dereferences ``@replicas.floor`` from the record.
-REPLICAS_FLOOR_MULTICORE = 2.0
-REPLICAS_FLOOR_FALLBACK = 0.2
-
-
 def _timed_fleet_run(bodies: list[dict], n_replicas: int) -> float:
     """Fire every body concurrently at a fleet front; wall seconds.
 
-    Each replica is a full ``repro serve`` process (thread workers, no
-    process exec tier), so the curve isolates what *replication* buys:
-    one replica timeslices the GIL, N replicas are N interpreters.
+    Each replica is a full ``repro serve`` process, so the curve isolates
+    what *replication* buys: one replica timeslices the GIL, N replicas
+    are N interpreters.
     """
     from repro.service import FleetSupervisor
 
@@ -534,7 +423,7 @@ def run_replica_reuse_check(tiny: bool) -> dict:
 
 
 def run_replica_phase(tiny: bool) -> dict:
-    bodies = _scaling_bodies(tiny)
+    bodies = _distinct_bodies(tiny)
     fleet_seconds = {
         n_replicas: _timed_fleet_run(bodies, n_replicas)
         for n_replicas in REPLICA_COUNTS
@@ -558,10 +447,8 @@ def run_benchmark(tiny: bool = False) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-service-") as workdir:
         throughput = run_throughput_phase(tiny, Path(workdir))
     coalescing = run_coalescing_phase(tiny)
-    process_coalescing = run_process_coalescing_phase(tiny)
     jobs = run_jobs_phase(tiny)
     module_reuse = run_module_reuse_phase(tiny)
-    scaling = run_scaling_phase(tiny)
     replicas = run_replica_phase(tiny)
     record = {
         "benchmark": "bench_service",
@@ -573,10 +460,8 @@ def run_benchmark(tiny: bool = False) -> dict:
         "coalesced": coalescing["coalesced"],
         "coalesce_derivations": coalescing["derivations"],
         "coalesce_attempt": coalescing["attempt"],
-        "coalesce_process": process_coalescing,
         **{f"jobs_{key}": value for key, value in jobs.items()},
         "module_reuse": module_reuse,
-        "scaling": scaling,
         "replicas": replicas,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -604,19 +489,6 @@ def _format_replicas(replicas: dict) -> str:
         f"{reuse['requests']} identical requests across {reuse['replicas']} "
         f"replicas -> {reuse['derivations']} derivation "
         f"({reuse['store_result_hits']} store result hits)"
-    )
-
-
-def _format_scaling(scaling: dict) -> str:
-    curve = ", ".join(
-        f"{workers}w={scaling['process_seconds'][str(workers)]:.3f}s"
-        for workers in SCALING_WORKER_COUNTS
-    )
-    return (
-        f"scaling: {scaling['requests']} distinct requests — threads "
-        f"{scaling['thread_seconds']:.3f}s vs processes {curve} "
-        f"({scaling['speedup_4_workers']:.2f}x at 4 workers, "
-        f"{scaling['cpus']} cpus, floor {scaling['floor']}x)"
     )
 
 
@@ -683,12 +555,6 @@ def main(argv: list[str] | None = None) -> int:
         replicas = run_replica_phase(tiny)
         print(_format_replicas(replicas))
         return 0 if replicas["speedup_4_replicas"] >= replicas["floor"] else 1
-    if "--scaling-only" in argv:
-        # Just the execution-tier scaling curve (no record written): local
-        # iteration on the process tier.
-        scaling = run_scaling_phase(tiny)
-        print(_format_scaling(scaling))
-        return 0 if scaling["speedup_4_workers"] >= scaling["floor"] else 1
     record = run_benchmark(tiny=tiny)
     print(
         f"cold CLI: {record['throughput_cold_cli_seconds_total']:.3f}s for "
@@ -713,17 +579,10 @@ def main(argv: list[str] | None = None) -> int:
         f"module reuse: {record['module_reuse']['reused_modules']} reused / "
         f"{record['module_reuse']['rederived_modules']} rederived across an edit"
     )
-    print(_format_scaling(record["scaling"]))
     print(_format_replicas(record["replicas"]))
     print(f"record written to {RECORD_PATH}")
     if not tiny and record["speedup_warm_server"] < SPEEDUP_FLOOR:
         print(f"FAIL: warm-server speedup below {SPEEDUP_FLOOR}x floor")
-        return 1
-    if record["scaling"]["speedup_4_workers"] < record["scaling"]["floor"]:
-        print(
-            "FAIL: 4-worker process tier below the "
-            f"{record['scaling']['floor']}x scaling floor"
-        )
         return 1
     if record["replicas"]["speedup_4_replicas"] < record["replicas"]["floor"]:
         print(

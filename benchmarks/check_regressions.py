@@ -16,7 +16,8 @@ Gated metrics per benchmark (dotted paths into the fresh record):
 * ``bench_sweep``        — warm-store parallel sweep over serial cold;
 * ``bench_incremental``  — edit-one-module re-solve over a cold solve;
 * ``bench_service``      — warm-server throughput over sequential cold CLI
-  solves (the benchmark itself additionally hard-asserts exact coalescing);
+  solves and 4-replica fleet over 1 replica (the benchmark itself
+  additionally hard-asserts exact coalescing);
 * ``bench_store``        — binary mmap pack loads over v1 JSON parsing.
 
 CI-sized instances carry proportionally more fixed overhead than the
@@ -55,7 +56,7 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 #: coalescing path — would produce (~1x).  A floor spec starting with
 #: ``"@"`` is a dotted path dereferenced in the *fresh* record: the
 #: benchmark computes a hardware-conditional floor at run time (e.g. the
-#: execution-tier scaling win, unmeasurable on a 1-core box) and the gate
+#: replica-fleet scaling win, unmeasurable on a 1-core box) and the gate
 #: holds the run to the floor that box can actually meet.
 GATES: dict[str, tuple[str, str, dict[str, float | str]]] = {
     "kernel": (
@@ -85,11 +86,8 @@ GATES: dict[str, tuple[str, str, dict[str, float | str]]] = {
         "BENCH_service.json",
         {
             "speedup_warm_server": 2.0,
-            # 4-worker process tier vs the GIL-bound thread tier; the
+            # The multi-core gate: a 4-replica fleet vs 1 replica; the
             # benchmark records 2.0 on >= 4 cores, a sanity floor below.
-            "scaling.speedup_4_workers": "@scaling.floor",
-            # PR 10 replica fleet: 4 single-process replicas vs 1, same
-            # hardware-conditional floor recorded by the benchmark.
             "replicas.speedup_4_replicas": "@replicas.floor",
         },
     ),

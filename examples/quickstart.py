@@ -177,17 +177,8 @@ def main() -> None:
         server.stop(drain_timeout=10)
 
     # The thread pool above timeslices one core behind the GIL.  To use
-    # real cores for K *distinct* concurrent requests, dispatch leader
-    # computations onto the persistent process execution tier instead:
-    #
-    #     repro serve --exec processes --exec-workers 4 --store DIR
-    #
-    # (in code: ``SolveService(exec_mode="processes", exec_workers=4)``).
-    # Coalescing, caches and drain behave identically; `/metrics` gains
-    # an ``exec`` block (dispatched, busy, worker_restarts, merged worker
-    # cache deltas) — examples/service_demo.py runs one live.
-    #
-    # And to scale *out* on one machine, put a replica fleet on the store:
+    # real cores for K *distinct* concurrent requests, put a replica
+    # fleet on the store:
     #
     #     repro fleet --replicas 4 --store DIR --port 8080
     #

@@ -6,7 +6,7 @@ Run with::
 
 The script starts a :class:`~repro.service.ServiceServer` in-process on an
 ephemeral port (the same server ``repro serve`` runs standalone) and walks
-through the three serving effects the service exists for:
+through the serving effects the service exists for:
 
 1. **coalescing** — K identical requests fired concurrently attach to one
    computation; ``/metrics`` shows ``coalesced == K - 1`` and a single
@@ -19,22 +19,13 @@ through the three serving effects the service exists for:
    and partial records while the cells run in the background;
 4. **graceful shutdown** — ``POST /shutdown`` (or SIGTERM on ``repro
    serve``) drains in-flight work before the process exits;
-5. **the process execution tier** — the same service with
-   ``exec_mode="processes"`` (``repro serve --exec processes
-   --exec-workers N``) dispatches leader computations onto long-lived
-   worker processes, so distinct concurrent requests use real cores
-   instead of timeslicing one behind the GIL.  ``/metrics`` gains an
-   ``exec`` block and merges the workers' cache deltas;
-6. **a replica fleet on one store** — ``repro fleet --replicas 2 --store
+5. **a replica fleet on one store** — ``repro fleet --replicas 2 --store
    DIR`` supervises two full ``repro serve`` processes sharing one store
-   behind a health-aware ``/v1`` proxy front: identical requests spread
-   over both replicas derive once fleet-wide (every repeat is a store
-   result-tier hit), and a rolling restart cycles the replicas one at a
-   time with zero failed requests.
-
-Process mode spawns workers that re-import this module, so the
-``if __name__ == "__main__"`` guard at the bottom is load-bearing —
-exactly as with :mod:`concurrent.futures` process pools.
+   behind a health-aware ``/v1`` proxy front.  One service timeslices a
+   single core behind the GIL; the fleet is how the service uses more.
+   Identical requests spread over both replicas derive once fleet-wide
+   (every repeat is a store result-tier hit), and a rolling restart
+   cycles the replicas one at a time with zero failed requests.
 """
 
 from __future__ import annotations
@@ -120,40 +111,7 @@ def main() -> None:
     server._thread.join(timeout=30)
     print(f"server thread alive: {server._thread.is_alive()} (drained and closed)")
 
-    # -- 5. the multi-core execution tier ------------------------------------
-    # `repro serve --exec processes --exec-workers 2` is the CLI spelling.
-    service = SolveService(workers=2, exec_mode="processes", exec_workers=2,
-                           default_timeout=120.0)
-    service.exec_tier.wait_ready(timeout=120)
-    server = ServiceServer(service, port=0).start()
-    try:
-        client = ServiceClient(server.url)
-        bodies = [payload, workflow_to_dict(edited)]
-        threads = [
-            threading.Thread(
-                target=client.solve,
-                kwargs={"workflow": body, "gamma": 2, "kind": "cardinality"},
-            )
-            for body in bodies
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        exec_metrics = client.metrics()["exec"]
-        print(
-            f"\nexecution tier: {len(bodies)} distinct concurrent requests on "
-            f"exec={exec_metrics['mode']}:{exec_metrics['workers']} -> "
-            f"{exec_metrics['dispatched']} dispatched, "
-            f"{exec_metrics['completed']} completed on "
-            f"{exec_metrics['alive']} live worker(s), healthy="
-            f"{exec_metrics['healthy']}"
-        )
-    finally:
-        print(f"shutdown: {client.shutdown()['status']}")
-        server._thread.join(timeout=30)
-
-    # -- 6. a two-replica fleet on one store ---------------------------------
+    # -- 5. a two-replica fleet on one store ---------------------------------
     # `repro fleet --replicas 2 --store DIR --port 8080` is the CLI
     # spelling.  Each replica is a full `repro serve` subprocess; the front
     # proxies /v1 with round-robin routing, drops draining/unreachable

@@ -368,12 +368,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "error: --warmup requires --store (nothing to warm from)", file=sys.stderr
         )
         return 2
-    if args.exec_workers is not None and args.exec_mode != "processes":
-        print(
-            "error: --exec-workers requires --exec processes",
-            file=sys.stderr,
-        )
-        return 2
     service = SolveService(
         store=args.store or None,
         workers=args.workers,
@@ -385,8 +379,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_max_bytes=args.store_max_bytes,
         warmup=args.warmup,
         maintenance_interval=args.maintenance_interval or None,
-        exec_mode=args.exec_mode,
-        exec_workers=args.exec_workers,
         replica_id=args.replica_id or None,
     )
     try:
@@ -417,15 +409,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
-    exec_note = (
-        f"exec=processes:{service.exec_tier.workers}"
-        if service.exec_tier is not None
-        else "exec=threads"
-    )
     replica_note = f", replica={args.replica_id}" if args.replica_id else ""
     print(
         f"repro serve: listening on {server.url} "
-        f"(workers={args.workers}, {exec_note}, "
+        f"(workers={args.workers}, "
         f"store={args.store or 'none'}{replica_note})",
         flush=True,
     )
@@ -455,18 +442,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "error: --warmup requires --store (nothing to warm from)", file=sys.stderr
         )
         return 2
-    if args.exec_workers is not None and args.exec_mode != "processes":
-        print(
-            "error: --exec-workers requires --exec processes",
-            file=sys.stderr,
-        )
-        return 2
     # Per-replica configuration rides along verbatim on every spawn (and
     # respawn), so a rolling restart brings a replica back identically.
     serve_argv: list[str] = ["--workers", str(args.workers)]
-    serve_argv += ["--exec", args.exec_mode]
-    if args.exec_workers is not None:
-        serve_argv += ["--exec-workers", str(args.exec_workers)]
     if args.timeout is not None:
         serve_argv += ["--timeout", str(args.timeout)]
     if args.result_cache_size is not None:
@@ -880,26 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_arg_positive_int, default=4, help="solve worker threads"
     )
     serve.add_argument(
-        "--exec",
-        dest="exec_mode",
-        choices=("threads", "processes"),
-        default="threads",
-        help=(
-            "execution tier for leader computations: 'threads' (in-process, "
-            "GIL-bound) or 'processes' (persistent worker processes; K "
-            "distinct concurrent solves use K cores; default: threads)"
-        ),
-    )
-    serve.add_argument(
-        "--exec-workers",
-        type=_arg_positive_int,
-        default=None,
-        help=(
-            "worker processes for --exec processes (default: --workers); "
-            "each keeps a hot cache and its own store attachment"
-        ),
-    )
-    serve.add_argument(
         "--store",
         default="",
         help=f"persistent derivation store directory (e.g. {DEFAULT_STORE_DIR})",
@@ -1015,7 +973,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas",
         type=_arg_positive_int,
         default=2,
-        help="serve replica processes to spawn (default 2)",
+        help=(
+            "serve replica processes to spawn (default 2); each is its own "
+            "interpreter, so this is how the service uses more cores"
+        ),
     )
     fleet.add_argument(
         "--store",
@@ -1030,19 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_arg_positive_int,
         default=4,
         help="solve worker threads per replica",
-    )
-    fleet.add_argument(
-        "--exec",
-        dest="exec_mode",
-        choices=("threads", "processes"),
-        default="threads",
-        help="execution tier inside each replica (see repro serve --exec)",
-    )
-    fleet.add_argument(
-        "--exec-workers",
-        type=_arg_positive_int,
-        default=None,
-        help="worker processes per replica for --exec processes",
     )
     fleet.add_argument(
         "--timeout",

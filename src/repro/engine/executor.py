@@ -249,13 +249,11 @@ def spec_from_grid(grid: Mapping[str, Any], base_dir: str = ".") -> SweepSpec:
 class WorkerContext:
     """Per-process state: one cache (with store back tier), rebuilt instances.
 
-    This is the worker bootstrap shared by every process-fanning surface:
-    the sweep executor's pool initializer builds one per worker, and the
-    service's execution tier (:mod:`repro.service.exec_tier`) attaches its
-    long-lived solve workers through the same class — one module-granular
-    :class:`~repro.engine.cache.DerivationCache`, optionally backed by a
-    per-process :class:`~repro.engine.store.DerivationStore` over a shared
-    directory, plus identity-preserving instance/planner memos.
+    The sweep executor's pool initializer builds one per worker process:
+    one module-granular :class:`~repro.engine.cache.DerivationCache`,
+    optionally backed by a per-process
+    :class:`~repro.engine.store.DerivationStore` over a shared directory,
+    plus identity-preserving instance/planner memos.
     """
 
     def __init__(

@@ -25,9 +25,9 @@ files** (:mod:`repro.kernel.binpack`): a standard ``.npy`` ``uint64``
 array when the bit layout fits 63 bits, fixed-width raw records otherwise,
 so the pure-Python no-numpy path reads the same bytes.  Readers
 memory-map sidecars, and :class:`~repro.kernel.packing.PackedRelation`
-keeps the mapping as its backing — co-located sweep workers and
-``ProcessExecTier`` workers share one set of page-cached read-only pages
-per hot pack instead of holding N parsed copies.  Readers accept both
+keeps the mapping as its backing — co-located sweep workers and fleet
+replicas share one set of page-cached read-only pages per hot pack
+instead of holding N parsed copies.  Readers accept both
 formats (a half-migrated store just works); ``format_version`` selects
 what *writes* produce, and :meth:`DerivationStore.migrate` upgrades a v1
 store in place, atomically per artifact.  The ``repro store migrate``
@@ -75,6 +75,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -227,36 +228,40 @@ class DerivationStore:
         return payload
 
     def _write(self, category: str | None, path: Path, payload: Any) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            # A read-only or vanished store directory must never kill a
-            # solve; persistence is best-effort by design.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return
-        if category is not None:
+        data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if self._publish(path, data) and category is not None:
             self.writes[category] += 1
 
     def _write_bytes(self, path: Path, data: bytes) -> None:
-        """Atomically publish a binary sidecar (same tmp+replace protocol)."""
+        """Atomically publish a binary sidecar (same protocol as ``_write``)."""
+        self._publish(path, data)
+
+    @staticmethod
+    def _publish(path: Path, data: bytes) -> bool:
+        """Write ``data`` to a private temp file, then ``os.replace`` it in.
+
+        ``mkstemp`` gives every writer — each thread of each process — its
+        own ``<name>.tmp-<random>`` file, so concurrent publishers of one
+        artifact never share a temp file; the ``.tmp-`` infix keeps GC off
+        it.  ``False`` when the write failed: a read-only or vanished store
+        directory must never kill a solve, persistence is best-effort.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         try:
-            with open(tmp, "wb") as handle:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.tmp-")
+        except OSError:
+            return False
+        try:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
         except OSError:
             try:
-                tmp.unlink(missing_ok=True)
+                os.unlink(tmp)
             except OSError:
                 pass
+            return False
+        return True
 
     @staticmethod
     def _check_version(payload: Any) -> None:
@@ -722,7 +727,7 @@ class DerivationStore:
     # -- maintenance ------------------------------------------------------------
     @staticmethod
     def _is_temp(path: Path) -> bool:
-        """An in-flight atomic-write temp file (``<name>.tmp-<pid>``)?"""
+        """An in-flight atomic-write temp file (``<name>.tmp-<random>``)?"""
         return ".tmp-" in path.name
 
     def _artifact_files(self) -> list[Path]:

@@ -49,7 +49,6 @@ Components
 from .background import JobManager, MaintenanceScheduler, SweepJob
 from .client import ServiceClient, ServiceClientError
 from .coalescer import InFlight, RequestCoalescer
-from .exec_tier import ProcessExecTier, TierUnavailable
 from .fleet import FleetSupervisor, Replica
 from .jobs import (
     JOB_STATES,
@@ -58,7 +57,6 @@ from .jobs import (
     ServiceError,
     ServiceTimeout,
     SolveJob,
-    WorkerError,
     parse_solve_payload,
 )
 from .server import ServiceServer
@@ -71,7 +69,6 @@ __all__ = [
     "JOB_STATES",
     "JobManager",
     "MaintenanceScheduler",
-    "ProcessExecTier",
     "Replica",
     "RequestCoalescer",
     "ServiceClient",
@@ -83,7 +80,5 @@ __all__ = [
     "SolveService",
     "SweepJob",
     "TERMINAL_JOB_STATES",
-    "TierUnavailable",
-    "WorkerError",
     "parse_solve_payload",
 ]

@@ -441,9 +441,7 @@ class JobManager:
                 "method": cell.solver,
                 "cost": None,
                 "error": str(exc),
-                # WorkerError forwards the original class name from the
-                # process tier, keeping job records mode-independent.
-                "error_type": getattr(exc, "error_type", type(exc).__name__),
+                "error_type": type(exc).__name__,
                 "from_store": False,
             }
 
@@ -469,12 +467,6 @@ class MaintenanceScheduler:
     store_max_bytes:
         Byte budget the store is GC'd down to each pass; ``None`` disables
         the GC task.
-    warmup:
-        Popular packs the ``warm_workers`` task asks the execution tier's
-        idle workers to preload each pass (0, or thread mode, disables
-        it).  Workers skip packs they already hold, so steady-state passes
-        are no-ops; the task exists for respawned workers and for
-        popularity that shifted since spawn.
     jitter:
         Fractional spread on the interval (default ±10%), so replicas
         sharing a store do not run GC in lockstep.
@@ -488,7 +480,6 @@ class MaintenanceScheduler:
         "expire_jobs",
         "flush_popularity",
         "gc_store",
-        "warm_workers",
     )
 
     def __init__(
@@ -496,14 +487,12 @@ class MaintenanceScheduler:
         service: "SolveService",
         interval: float | None = 30.0,
         store_max_bytes: int | None = None,
-        warmup: int = 0,
         jitter: float = 0.1,
         seed: int | None = None,
     ) -> None:
         self.service = service
         self.interval = interval
         self.store_max_bytes = store_max_bytes
-        self.warmup = warmup
         self.jitter = jitter
         self._rng = random.Random(seed)
         self._stop = threading.Event()
@@ -599,20 +588,6 @@ class MaintenanceScheduler:
             self.gc_runs += 1
             self.gc_deleted_bytes += result["freed_bytes"]
         return result
-
-    def _task_warm_workers(self) -> int | None:
-        """Keep execution-tier workers warm across respawns and passes.
-
-        Runs *after* ``flush_popularity`` so workers rank against current
-        traffic.  A worker spawned mid-flight (crash recovery) missed the
-        spawn-time warm-up of whatever became popular since; this pass
-        catches it up.  ``None`` when there is nothing to do (thread mode,
-        no store, warm-up disabled).
-        """
-        tier = self.service.exec_tier
-        if tier is None or self.warmup <= 0 or self.service.cache.store is None:
-            return None
-        return tier.warm_workers(self.warmup)
 
     # -- warm-up -----------------------------------------------------------------
     def warm_up(self, k: int) -> int:

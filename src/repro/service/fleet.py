@@ -2,11 +2,14 @@
 
 ``repro fleet --replicas N --store DIR --port P`` spawns N ``repro serve``
 processes that share a single derivation-store directory, and runs a
-stdlib HTTP front that proxies the versioned ``/v1`` API across them:
+stdlib HTTP front that proxies the versioned ``/v1`` API across them.
+One ``repro serve`` computes on a GIL-bound thread pool, so each replica
+is one core of solver work and ``--replicas N`` is how the service spends
+N cores.  The front adds:
 
 * **health-aware routing** — requests round-robin over the replicas whose
-  ``/v1/healthz`` answers 200; a replica that reports 503 (draining, or a
-  dead execution tier) leaves rotation until it recovers, and a request
+  ``/v1/healthz`` answers 200; a replica that reports 503 (draining) or
+  stops answering leaves rotation until it recovers, and a request
   that lands on a replica mid-drain is transparently retried on the next
   one, so rolling restarts lose zero requests;
 * **supervision** — a replica process that dies unexpectedly is respawned

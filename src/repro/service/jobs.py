@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..kernel import VALID_BACKENDS, resolve_backend
@@ -41,7 +41,6 @@ __all__ = [
     "ServiceError",
     "ServiceTimeout",
     "SolveJob",
-    "WorkerError",
     "error_envelope",
     "parse_solve_payload",
 ]
@@ -63,9 +62,8 @@ def error_envelope(
 
         {"error": {"type": ..., "message": ..., "status": ...}}
 
-    ``type`` is the failing exception's class name (a worker forwards the
-    original class across the process boundary), ``status`` duplicates the
-    HTTP status so clients reading only the body lose nothing.
+    ``type`` is the failing exception's class name, ``status`` duplicates
+    the HTTP status so clients reading only the body lose nothing.
     """
     return {
         "error": {"type": error_type, "message": message, "status": status}
@@ -78,12 +76,9 @@ class ServiceError(Exception):
     def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
-        #: Class name reported in the envelope (:class:`WorkerError`
-        #: overwrites it with the original class from the worker process).
-        self.error_type = type(self).__name__
 
     def as_dict(self) -> dict[str, Any]:
-        return error_envelope(self.error_type, str(self), self.status)
+        return error_envelope(type(self).__name__, str(self), self.status)
 
 
 class ServiceTimeout(ServiceError):
@@ -96,24 +91,6 @@ class ServiceTimeout(ServiceError):
 
     def __init__(self, message: str) -> None:
         super().__init__(message, status=504)
-
-
-class WorkerError(ServiceError):
-    """A failure forwarded from an execution-tier worker process.
-
-    Exceptions cannot cross the process boundary faithfully (tracebacks and
-    custom classes do not pickle portably), so the tier ships ``(message,
-    status, error_type)`` and the parent re-raises this wrapper.
-    ``error_type`` preserves the original class name for sweep error
-    records, keeping ``error_type`` in a report identical between the
-    thread and process tiers.
-    """
-
-    def __init__(
-        self, message: str, status: int = 500, error_type: str | None = None
-    ) -> None:
-        super().__init__(message, status)
-        self.error_type = error_type or "WorkerError"
 
 
 @dataclass(frozen=True)
@@ -139,11 +116,6 @@ class SolveJob:
     backend: str
     costs: tuple[tuple[str, float], ...] | None
     timeout: float | None
-    #: The raw (JSON-shaped) instance payload the request carried.  Kept so
-    #: the job can be re-encoded for the process execution tier
-    #: (:meth:`to_wire`); excluded from equality — the fingerprint already
-    #: canonicalizes content.
-    payload: Mapping[str, Any] | None = field(default=None, compare=False)
 
     @property
     def key(self) -> tuple:
@@ -163,34 +135,6 @@ class SolveJob:
             self.verify,
             self.costs,
         )
-
-    def to_wire(self) -> dict[str, Any]:
-        """Re-encode this job as a ``POST /solve`` body.
-
-        This is how a solve crosses the process boundary to the execution
-        tier: the *parsed* job holds a rebuilt workflow whose callables do
-        not pickle, but the JSON body round-trips — the worker re-parses it
-        through :func:`parse_solve_payload` and (by fingerprint) lands on
-        the same coalescing identity.  ``timeout`` is deliberately dropped:
-        deadlines are enforced parent-side by the coalescer wait.
-        """
-        if self.payload is None:
-            raise ValueError("job carries no raw payload to re-encode")
-        body: dict[str, Any] = {
-            self.source: self.payload,
-            "label": self.label,
-            "solver": self.solver,
-            "verify": self.verify,
-            "backend": self.backend,
-        }
-        if self.source == "workflow":
-            body["gamma"] = self.gamma
-            body["kind"] = self.kind
-        if self.seed is not None:
-            body["seed"] = self.seed
-        if self.costs is not None:
-            body["costs"] = dict(self.costs)
-        return body
 
 
 class InstanceCache:
@@ -363,5 +307,4 @@ def parse_solve_payload(
         backend=resolve_backend(backend),
         costs=_parse_costs(body.get("costs")),
         timeout=_parse_timeout(body.get("timeout")),
-        payload=payload,
     )

@@ -13,12 +13,10 @@ before the API was versioned still answer identically, but carry a
 clients and fleets can migrate on their own schedule.
 
 ``GET /v1/healthz``
-    Liveness: ``{"status": "ok" | "draining" | "unhealthy", "draining":
-    bool, "healthy": bool, "replica": ..., ...}``.  Answers **503** once a
-    drain has started, and likewise when the process execution tier's
-    worker pool is dead and unrecoverable (body still included either
-    way), so load balancers — including ``repro fleet`` — can stop routing
-    before SIGTERM completes, or route away from a degraded replica.
+    Liveness: ``{"status": "ok" | "draining", "draining": bool,
+    "replica": ..., ...}``.  Answers **503** once a drain has started
+    (body still included), so load balancers — including ``repro fleet``
+    — can stop routing before SIGTERM completes.
 ``GET /v1/metrics``
     Request counts, in-flight gauge, coalescing counters, job and
     maintenance counters, replica identity, and the shared cache's
@@ -233,13 +231,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if route == "/healthz":
                 payload = self.service.healthz()
-                # 503 while draining or with a dead execution tier: body
-                # still answers, but balancers and pollers see "stop
-                # routing here" at the status level.
-                unavailable = payload["draining"] or not payload.get(
-                    "healthy", True
-                )
-                self._respond(503 if unavailable else 200, payload)
+                # 503 while draining: body still answers, but balancers
+                # and pollers see "stop routing here" at the status level.
+                self._respond(503 if payload["draining"] else 200, payload)
             elif route == "/metrics":
                 self._respond(200, self.service.metrics())
             elif route == "/version":

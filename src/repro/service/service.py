@@ -30,13 +30,10 @@ through the *same* pipeline, so sweep cells coalesce with each other and
 with concurrent ``/solve`` traffic, and overlapping workflows share the
 module tier (``reused_modules`` in ``/metrics`` counts it).
 
-Where a leader computation *burns CPU* is the execution tier
-(``exec_mode``): ``"threads"`` runs it on the pool thread itself (one core,
-GIL-bound), ``"processes"`` ships it to a persistent
-:class:`~repro.service.exec_tier.ProcessExecTier` worker so K distinct
-concurrent requests use K cores.  Either way the pool thread owns the
-coalescer publication, so everything above this paragraph is
-mode-independent.
+Every leader computation runs on the service's own thread pool, so one
+service is one GIL-bound core of solver work.  More cores come from more
+processes: ``repro fleet --replicas N`` runs N services on one shared
+store behind a proxy front (:mod:`repro.service.fleet`).
 
 Shutdown is graceful by construction: :meth:`SolveService.drain` stops
 admitting new work (503), waits for every in-flight computation to publish
@@ -55,7 +52,6 @@ from ..engine import DerivationCache, Planner
 from ..engine.store import DerivationStore, ResultKey
 from .background import JobManager, MaintenanceScheduler
 from .coalescer import RequestCoalescer
-from .exec_tier import ProcessExecTier, TierUnavailable
 from .jobs import (
     InstanceCache,
     ServiceError,
@@ -118,17 +114,6 @@ class SolveService:
         Seconds between background maintenance passes (jittered ±10%);
         ``0`` or ``None`` disables the thread (tasks still run on demand
         via ``service.maintenance.run_once()``).
-    exec_mode:
-        Where leader computations burn CPU: ``"threads"`` (default — the
-        in-process pool; also the fallback when the process tier is
-        unavailable) or ``"processes"`` (a persistent
-        :class:`~repro.service.exec_tier.ProcessExecTier`; K *distinct*
-        concurrent solves then use K cores instead of timeslicing the
-        GIL).  Coalescing, result caches, metrics and drain semantics are
-        identical in both modes.
-    exec_workers:
-        Worker processes for the process tier (defaults to ``workers``);
-        only meaningful with ``exec_mode="processes"``.
     replica_id:
         Identity of this replica in a fleet (``repro fleet`` passes
         ``--replica-id r<i>`` to each ``repro serve`` it spawns); surfaced
@@ -152,8 +137,6 @@ class SolveService:
         store_max_bytes: int | None = None,
         warmup: int = 0,
         maintenance_interval: float | None = 30.0,
-        exec_mode: str = "threads",
-        exec_workers: int | None = None,
         replica_id: str | None = None,
     ) -> None:
         if workers < 1:
@@ -177,17 +160,6 @@ class SolveService:
             raise ValueError("warmup must be non-negative")
         if maintenance_interval is not None and maintenance_interval < 0:
             raise ValueError("maintenance_interval must be non-negative")
-        if exec_mode not in ("threads", "processes"):
-            raise ValueError("exec_mode must be 'threads' or 'processes'")
-        if exec_workers is not None and exec_workers < 1:
-            raise ValueError("exec_workers must be >= 1 (or None)")
-        if exec_workers is not None and exec_mode != "processes":
-            raise ValueError("exec_workers requires exec_mode='processes'")
-        if exec_mode == "processes" and registry is not None:
-            raise ValueError(
-                "a custom solver registry cannot cross the process boundary; "
-                "use exec_mode='threads'"
-            )
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
             store = DerivationStore(store)
         self.cache = DerivationCache(store=store)
@@ -232,25 +204,11 @@ class SolveService:
         self.timeout_count = 0
         self.result_hits_memory = 0
         self.result_hits_store = 0
-        self.exec_mode = exec_mode
-        self.exec_inline_fallbacks = 0
-        #: The process execution tier (``None`` in thread mode).  Spawning
-        #: is asynchronous — workers announce readiness over their pipes —
-        #: so construction does not block on interpreter start-up.
-        self.exec_tier: ProcessExecTier | None = None
-        if exec_mode == "processes":
-            self.exec_tier = ProcessExecTier(
-                workers=exec_workers or workers,
-                store_path=str(store.root) if store is not None else None,
-                reuse_results=reuse_results,
-                warmup=warmup,
-            )
         self.jobs = JobManager(self, job_ttl=job_ttl, max_jobs=max_jobs)
         self.maintenance = MaintenanceScheduler(
             self,
             interval=maintenance_interval,
             store_max_bytes=store_max_bytes,
-            warmup=warmup,
         )
         if warmup:
             self.maintenance.warm_up(warmup)
@@ -459,34 +417,6 @@ class SolveService:
         self._remember_result(job.key, record)
         return record
 
-    def _execute(self, job: SolveJob) -> dict[str, Any]:
-        """Run one leader computation on the selected execution tier.
-
-        Process mode ships the job to a tier worker and blocks this pool
-        thread until the worker answers — in-flight accounting, drain
-        ordering and coalescer publication stay byte-identical to thread
-        mode.  A tier that cannot *accept* the job (dead/unrecoverable
-        pool) falls back to inline execution (``exec.inline_fallbacks``);
-        a failure *while computing* (including a worker crash) propagates
-        to everyone attached to this leader, exactly like a thread-mode
-        solver failure.
-        """
-        tier = self.exec_tier
-        if tier is not None:
-            try:
-                task = tier.submit(job)
-            except TierUnavailable:
-                with self._state:
-                    self.exec_inline_fallbacks += 1
-            else:
-                record = tier.wait(task)
-                if record.get("from_store"):
-                    with self._state:
-                        self.result_hits_store += 1
-                self._remember_result(job.key, record)
-                return record
-        return self._compute(job)
-
     # -- admission and coalescing -----------------------------------------------
     def _begin(self, job: SolveJob):
         """Join (or start) the computation for a job; ``(is_leader, entry)``."""
@@ -500,7 +430,7 @@ class SolveService:
                 return leader, entry
             self._in_flight += 1
         try:
-            future = self.pool.submit(self._execute, job)
+            future = self.pool.submit(self._compute, job)
         except BaseException as exc:  # noqa: BLE001 - a lost submission must
             # still resolve the single-flight entry: followers attached to
             # this leader would otherwise wait forever on a future that
@@ -628,11 +558,7 @@ class SolveService:
                     # and this report crosses the HTTP boundary.
                     "cost": None,
                     "error": str(exc),
-                    # WorkerError forwards the original class name from the
-                    # process tier, keeping reports mode-independent.
-                    "error_type": getattr(
-                        exc, "error_type", type(exc).__name__
-                    ),
+                    "error_type": type(exc).__name__,
                     "from_store": False,
                 }
             record["index"] = index
@@ -695,28 +621,17 @@ class SolveService:
         return jobs
 
     def healthz(self) -> dict[str, Any]:
-        """``GET /healthz``: liveness plus drain and execution-tier health.
+        """``GET /healthz``: liveness plus drain state.
 
         ``draining`` is an explicit boolean (the HTTP layer answers 503 on
         it) so load balancers and job pollers can tell "shutting down"
-        from "dead" before the drain completes.  ``healthy`` goes false —
-        and the HTTP layer likewise answers 503 — when the process tier's
-        pool is dead and unrecoverable (requests still answer, via the
-        inline fallback, but the box is degraded to one core).
+        from "dead" before the drain completes.
         """
         self._count("healthz")
-        tier = self.exec_tier
-        healthy = tier is None or tier.healthy()
         with self._state:
-            if self._draining:
-                status = "draining"
-            else:
-                status = "ok" if healthy else "unhealthy"
             return {
-                "status": status,
+                "status": "draining" if self._draining else "ok",
                 "draining": self._draining,
-                "healthy": healthy,
-                "exec_mode": self.exec_mode,
                 "in_flight": self._in_flight,
                 "replica": self.replica_id,
                 "uptime_seconds": time.monotonic() - self._started_monotonic,
@@ -754,34 +669,11 @@ class SolveService:
         ``cache`` is the :meth:`~repro.engine.cache.CacheStats.delta` of the
         shared cache against the service's start-time baseline, so
         ``reused_modules`` / ``store_hits`` there measure exactly what this
-        process served without re-deriving.  In process mode the workers'
-        per-task deltas are merged in — and reported separately under
-        ``exec.cache`` — so "did the tier save work" reads the same in both
-        modes.
+        process served without re-deriving.
         """
         self._count("metrics")
         cache_delta = self.cache.stats().delta(self._baseline)
         store = self.cache.store
-        tier = self.exec_tier
-        if tier is None:
-            exec_block: dict[str, Any] = {
-                "mode": "threads",
-                "workers": self.workers,
-                "alive": self.workers,
-                "busy": 0,
-                "queued": 0,
-                "dispatched": 0,
-                "completed": 0,
-                "failed": 0,
-                "worker_restarts": 0,
-                "warmed_packs": 0,
-                "healthy": True,
-            }
-            worker_cache: dict[str, int] = {}
-        else:
-            exec_block = tier.metrics()
-            worker_cache = tier.worker_cache_totals()
-        exec_block["cache"] = worker_cache
         with self._state:
             payload: dict[str, Any] = {
                 "started_at": self._started_at,
@@ -801,13 +693,6 @@ class SolveService:
                 },
                 "cache": cache_delta.as_dict(),
             }
-            exec_block["inline_fallbacks"] = self.exec_inline_fallbacks
-        # Worker counters fold into the top-level cache totals: clients
-        # (and the coalescing benchmark) read one number per counter no
-        # matter which tier did the deriving.
-        for key, value in worker_cache.items():
-            payload["cache"][key] = payload["cache"].get(key, 0) + int(value)
-        payload["exec"] = exec_block
         payload["store"] = store.stats() if store is not None else None
         payload["jobs"] = self.jobs.metrics()
         payload["maintenance"] = self.maintenance.metrics()
@@ -820,13 +705,10 @@ class SolveService:
         Order matters: mark draining (new requests and job submits get
         503), cancel active jobs and stop the maintenance thread, wait for
         job runners to collect their in-flight cells, flush pending
-        popularity to the store, wait out the pool, then stop the
-        execution tier (its workers are idle by then — every in-flight
-        pool thread was blocked on its tier task).  Idempotent.  Returns
-        ``True`` when everything drained within ``timeout`` (``None``
-        waits indefinitely); on ``False`` the pool is still shut down and
-        the tier's workers are killed — which fails their tasks through
-        the crash path and releases any pool thread still blocked on one.
+        popularity to the store, then wait out the pool.  Idempotent.
+        Returns ``True`` when everything drained within ``timeout``
+        (``None`` waits indefinitely); on ``False`` the pool is still shut
+        down, without waiting for its running computations.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -847,6 +729,4 @@ class SolveService:
                 lambda: self._in_flight == 0, _remaining()
             )
         self.pool.shutdown(wait=drained)
-        if self.exec_tier is not None:
-            self.exec_tier.shutdown(wait=drained, timeout=_remaining())
         return drained

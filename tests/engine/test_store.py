@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -482,6 +485,40 @@ class TestCacheStatsSurface:
         assert delta.derivation_hits == 0
 
 
+class TestAtomicPublish:
+    def test_threads_publishing_one_artifact_use_distinct_temp_files(
+        self, store, monkeypatch
+    ):
+        fingerprint = "ab" * 32
+        key = ResultKey("kernel", 2, "set", "exact", None, False)
+        # Hold both publishers at os.replace until both have written their
+        # temp file: the interleaving in which a shared temp name loses
+        # one of the two publishes.
+        barrier = threading.Barrier(2, timeout=10)
+        sources: list[str] = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            sources.append(str(src))
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(store.save_result, fingerprint, key, {"cost": 1.0})
+                for _ in range(2)
+            ]
+            for future in futures:
+                future.result()
+        monkeypatch.undo()
+        assert len(sources) == 2 and sources[0] != sources[1]
+        assert store.writes["result"] == 2
+        assert store.load_result(fingerprint, key) == {"cost": 1.0}
+        assert store.hits["result"] == 1
+        assert list(store.root.rglob("*.tmp-*")) == []
+
+
 class TestStoreGC:
     """LRU eviction to a byte budget (the maintenance GC task's engine)."""
 
@@ -518,11 +555,15 @@ class TestStoreGC:
             {"cost": 1.0},
         )
         entry_dir = store._dir("cd" * 32)
-        temp = entry_dir / f"result.json.tmp-{os.getpid()}"
-        temp.write_text("{in flight}")
+        # Both temp-name shapes: the legacy per-pid one and the per-writer
+        # mkstemp one that publishing uses now.
+        legacy = entry_dir / f"result.json.tmp-{os.getpid()}"
+        legacy.write_text("{in flight}")
+        fd, current = tempfile.mkstemp(dir=entry_dir, prefix="result.json.tmp-")
+        os.close(fd)
         summary = store.gc(max_bytes=0)
         assert summary["kept_bytes"] == 0  # every *artifact* went
-        assert temp.exists()  # the in-flight temp did not
+        assert legacy.exists() and os.path.exists(current)  # in-flight temps did not
         assert store.load_result(
             "cd" * 32, ResultKey("kernel", 2, "set", "exact", None, False)
         ) is None

@@ -392,17 +392,11 @@ class TestServeFlagValidation:
             ["--store-max-bytes", "-1"],
             ["--warmup", "-2"],
             ["--maintenance-interval", "-1"],
-            ["--exec", "fibers"],
-            ["--exec-workers", "0"],
         ],
     )
     def test_nonsensical_values_are_usage_errors(self, flags, capsys):
         assert main(["serve", *flags]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_exec_workers_requires_process_mode(self, capsys):
-        assert main(["serve", "--exec-workers", "2"]) == 2
-        assert "requires --exec processes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
