@@ -57,89 +57,71 @@ Layout
     Experiment harness: metrics, sweeps, and text reporting.
 """
 
-from .core import (
-    Attribute,
-    BOOLEAN,
-    CardinalityRequirement,
-    CardinalityRequirementList,
-    Domain,
-    Module,
-    ProvenanceView,
-    Relation,
-    Schema,
-    SecureViewProblem,
-    SecureViewSolution,
-    SetRequirement,
-    SetRequirementList,
-    Workflow,
-    assemble_all_private_solution,
-    assemble_general_solution,
-    is_gamma_private_workflow,
-    is_standalone_private,
-    minimum_cost_safe_subset,
-    standalone_privacy_level,
-    workflow_privacy_level,
-    is_workflow_private,
-)
-from .engine import (
-    DerivationCache,
-    Planner,
-    PrivacyCertificate,
-    SolveRequest,
-    SolveResult,
-    SolverRegistry,
-    default_registry,
-    register_solver,
-)
-from .kernel import (
-    CompiledModule,
-    CompiledWorkflow,
-    compile_module,
-    compile_workflow,
-    get_default_backend,
-    set_default_backend,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.10.0"
 
-__all__ = [
-    "__version__",
-    "Attribute",
-    "BOOLEAN",
-    "Domain",
-    "Schema",
-    "Relation",
-    "Module",
-    "Workflow",
-    "ProvenanceView",
-    "SecureViewSolution",
-    "SecureViewProblem",
-    "SetRequirement",
-    "SetRequirementList",
-    "CardinalityRequirement",
-    "CardinalityRequirementList",
-    "is_standalone_private",
-    "standalone_privacy_level",
-    "is_workflow_private",
-    "workflow_privacy_level",
-    "is_gamma_private_workflow",
-    "minimum_cost_safe_subset",
-    "assemble_all_private_solution",
-    "assemble_general_solution",
+#: Public name → defining subpackage.  Exports load on first access
+#: (PEP 562): ``import repro`` itself imports nothing heavy, so processes
+#: that never solve — the fleet front, the client, ``repro --help`` — start
+#: without numpy, scipy or networkx.
+_EXPORTS = {
+    "Attribute": ".core",
+    "BOOLEAN": ".core",
+    "Domain": ".core",
+    "Schema": ".core",
+    "Relation": ".core",
+    "Module": ".core",
+    "Workflow": ".core",
+    "ProvenanceView": ".core",
+    "SecureViewSolution": ".core",
+    "SecureViewProblem": ".core",
+    "SetRequirement": ".core",
+    "SetRequirementList": ".core",
+    "CardinalityRequirement": ".core",
+    "CardinalityRequirementList": ".core",
+    "is_standalone_private": ".core",
+    "standalone_privacy_level": ".core",
+    "is_workflow_private": ".core",
+    "workflow_privacy_level": ".core",
+    "is_gamma_private_workflow": ".core",
+    "minimum_cost_safe_subset": ".core",
+    "assemble_all_private_solution": ".core",
+    "assemble_general_solution": ".core",
     # privacy kernel (bit-compiled analysis backend)
-    "CompiledModule",
-    "CompiledWorkflow",
-    "compile_module",
-    "compile_workflow",
-    "get_default_backend",
-    "set_default_backend",
+    "CompiledModule": ".kernel",
+    "CompiledWorkflow": ".kernel",
+    "compile_module": ".kernel",
+    "compile_workflow": ".kernel",
+    "get_default_backend": ".kernel",
+    "set_default_backend": ".kernel",
     # engine (the canonical solve surface)
-    "DerivationCache",
-    "Planner",
-    "PrivacyCertificate",
-    "SolveRequest",
-    "SolveResult",
-    "SolverRegistry",
-    "default_registry",
-    "register_solver",
-]
+    "DerivationCache": ".engine",
+    "Planner": ".engine",
+    "PrivacyCertificate": ".engine",
+    "SolveRequest": ".engine",
+    "SolveResult": ".engine",
+    "SolverRegistry": ".engine",
+    "default_registry": ".engine",
+    "register_solver": ".engine",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        message = f"module {__name__!r} has no attribute {name!r}"
+        raise AttributeError(message) from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

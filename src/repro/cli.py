@@ -40,6 +40,10 @@ out-sets and whole solve results across runs and processes.
 Solving goes through :mod:`repro.engine`; ``--solver`` accepts any name in
 the registry (``repro engine list-solvers``).  All files are the JSON
 documents produced by :mod:`repro.workloads.serialization`.
+
+Each command imports the engine, analysis and workload modules it uses
+when it runs, so ``repro fleet`` (the front) and ``repro submit`` start
+without numpy, scipy or networkx.
 """
 
 from __future__ import annotations
@@ -49,18 +53,7 @@ import json
 import sys
 from typing import Sequence
 
-from .analysis import compare_solvers, format_records
-from .core import is_gamma_private_workflow
-from .core.attack import reconstruction_attack
-from .engine import Planner, default_registry, run_sweep, spec_from_grid
 from .exceptions import ProvenanceError
-from .workloads import ScientificWorkflowConfig, random_problem, scientific_problem
-from .workloads.serialization import (
-    dump_problem,
-    load_problem,
-    solution_from_dict,
-    solution_to_dict,
-)
 
 __all__ = ["build_parser", "main"]
 
@@ -81,6 +74,8 @@ def _package_version() -> str:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .workloads.serialization import load_problem
+
     problem = load_problem(args.problem)
     workflow = problem.workflow
     print(f"workflow          : {workflow.name}")
@@ -100,6 +95,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .engine import Planner
+    from .workloads.serialization import load_problem, solution_to_dict
+
     problem = load_problem(args.problem)
     planner = Planner.from_problem(problem, store=args.store or None)
     result = planner.solve(
@@ -130,6 +128,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_engine_list_solvers(args: argparse.Namespace) -> int:
+    from .analysis import format_records
+    from .engine import default_registry
+    from .workloads.serialization import load_problem
+
     registry = default_registry()
     if args.problem:
         problem = load_problem(args.problem)
@@ -166,6 +168,9 @@ def _cmd_engine_list_solvers(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .core import is_gamma_private_workflow
+    from .workloads.serialization import load_problem, solution_from_dict
+
     problem = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as handle:
         solution = solution_from_dict(problem.workflow, json.load(handle))
@@ -186,6 +191,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    from .analysis import format_records
+    from .core.attack import reconstruction_attack
+    from .workloads.serialization import load_problem, solution_from_dict
+
     problem = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as handle:
         solution = solution_from_dict(problem.workflow, json.load(handle))
@@ -209,6 +218,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .workloads import ScientificWorkflowConfig, random_problem, scientific_problem
+    from .workloads.serialization import dump_problem
+
     if args.shape == "scientific":
         problem = scientific_problem(
             ScientificWorkflowConfig(
@@ -237,6 +249,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis import compare_solvers, format_records
+    from .workloads.serialization import load_problem
+
     problem = load_problem(args.problem)
     records = compare_solvers(
         problem,
@@ -307,6 +322,8 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
+
+    from .engine import run_sweep, spec_from_grid
 
     try:
         with open(args.grid, "r", encoding="utf-8") as handle:
@@ -664,6 +681,29 @@ def _arg_nonnegative_float(text: str) -> float:
     return value
 
 
+class _SolverChoices:
+    """``["auto", *registry names]`` (after ``leading``), read on demand.
+
+    argparse only tests membership and iterates for usage and error text,
+    so a parse that never touches ``--solver``/``--method`` never imports
+    the engine.
+    """
+
+    def __init__(self, *leading: str) -> None:
+        self._leading = leading
+
+    def _names(self) -> list[str]:
+        from .engine import default_registry
+
+        return [*self._leading, "auto", *default_registry().names()]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -681,21 +721,21 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("problem")
     info.set_defaults(func=_cmd_info)
 
-    solver_names = ["auto", *default_registry().names()]
     solve = sub.add_parser("solve", help="solve a Secure-View problem file")
     solve.add_argument("problem")
+    # Choices are attached after add_argument, which renders them once to
+    # validate the metavar: the registry (and the engine it imports) then
+    # loads only when a --solver/--method value is checked or help printed.
     solve.add_argument(
         "--solver",
         default="",
-        choices=["", *solver_names],
         help="registry solver name (see `repro engine list-solvers`)",
-    )
+    ).choices = _SolverChoices("")
     solve.add_argument(
         "--method",
         default="auto",
-        choices=solver_names,
         help="deprecated alias for --solver",
-    )
+    ).choices = _SolverChoices()
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--local-search", action="store_true")
     solve.add_argument(

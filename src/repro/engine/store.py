@@ -76,6 +76,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -202,6 +203,10 @@ class DerivationStore:
         self.hits: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.misses: dict[str, int] = {category: 0 for category in _CATEGORIES}
         self.writes: dict[str, int] = {category: 0 for category in _CATEGORIES}
+        # meta.json is read-modify-written by the solve path (_write_meta),
+        # popularity flushes and migrate; one lock keeps a thread's write
+        # from dropping fields or increments another thread just wrote.
+        self._meta_lock = threading.Lock()
 
     # -- paths and raw IO -------------------------------------------------------
     def _dir(self, fingerprint: str) -> Path:
@@ -334,32 +339,33 @@ class DerivationStore:
         return payload if isinstance(payload, dict) else {}
 
     def _write_meta(self, fingerprint: str, workflow: "Workflow") -> None:
-        meta_path = self._dir(fingerprint) / "meta.json"
-        existing = self._read_raw(meta_path)
-        if existing.get("workflow_payload") is not None:
-            return
         from ..workloads.serialization import workflow_to_dict
 
-        payload = dict(existing)  # preserve popularity bumped before save
-        payload.update(
-            {
-                "fingerprint": fingerprint,
-                "format_version": self.format_version,
-                "workflow": workflow.name,
-                "modules": len(workflow),
-                "attributes": len(workflow.attribute_names),
-                # The canonical serialization rides along so maintenance
-                # (service warm-up) can rebuild the instance without the
-                # original submitter — meta is the only tier that knows
-                # what a fingerprint *is*.
-                "workflow_payload": workflow_to_dict(workflow),
-            },
-        )
-        self._write(
-            None,  # meta is bookkeeping, not a counted artifact
-            meta_path,
-            payload,
-        )
+        meta_path = self._dir(fingerprint) / "meta.json"
+        with self._meta_lock:
+            payload = self._read_raw(meta_path)
+            if payload.get("workflow_payload") is not None:
+                return
+            # Update in place: popularity bumped before this save survives.
+            payload.update(
+                {
+                    "fingerprint": fingerprint,
+                    "format_version": self.format_version,
+                    "workflow": workflow.name,
+                    "modules": len(workflow),
+                    "attributes": len(workflow.attribute_names),
+                    # The canonical serialization rides along so maintenance
+                    # (service warm-up) can rebuild the instance without the
+                    # original submitter — meta is the only tier that knows
+                    # what a fingerprint *is*.
+                    "workflow_payload": workflow_to_dict(workflow),
+                },
+            )
+            self._write(
+                None,  # meta is bookkeeping, not a counted artifact
+                meta_path,
+                payload,
+            )
 
     # -- requirements -----------------------------------------------------------
     def load_requirements(
@@ -666,15 +672,18 @@ class DerivationStore:
 
         The counter lives in the entry's ``meta.json`` so it survives
         restarts and rides the same GC policy as the artifacts it ranks.
-        Read-modify-write without a cross-process lock: concurrent bumpers
-        may lose increments, which ranking tolerates (popularity is a
+        The read-modify-write holds the store's meta lock, so threads of
+        one process never lose increments or fields.  There is no
+        cross-process lock: concurrent bumpers in different processes may
+        lose increments, which ranking tolerates (popularity is a
         heuristic, not an invariant).  Returns the new count.
         """
         meta_path = self._dir(fingerprint) / "meta.json"
-        meta = self._read_raw(meta_path)
-        meta.setdefault("fingerprint", fingerprint)
-        meta["popularity"] = int(meta.get("popularity", 0) or 0) + int(by)
-        self._write(None, meta_path, meta)
+        with self._meta_lock:
+            meta = self._read_raw(meta_path)
+            meta.setdefault("fingerprint", fingerprint)
+            meta["popularity"] = int(meta.get("popularity", 0) or 0) + int(by)
+            self._write(None, meta_path, meta)
         return meta["popularity"]
 
     def popularity(self, fingerprint: str) -> int:
@@ -934,10 +943,11 @@ class DerivationStore:
                 else:
                     summary["skipped"] += 1
         meta_path = entry / "meta.json"
-        meta = self._read_raw(meta_path)
-        if meta and int(meta.get("format_version", 1) or 1) != FORMAT_VERSION:
-            meta["format_version"] = FORMAT_VERSION
-            self._write(None, meta_path, meta)
+        with self._meta_lock:
+            meta = self._read_raw(meta_path)
+            if meta and int(meta.get("format_version", 1) or 1) != FORMAT_VERSION:
+                meta["format_version"] = FORMAT_VERSION
+                self._write(None, meta_path, meta)
 
     def migrate(self) -> dict[str, int]:
         """Upgrade every v1 artifact under the root to format v2, in place.

@@ -13,19 +13,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-
-    HAVE_SCIPY = True
-except ImportError:  # modelling still works; solving raises SolverError
-    np = None  # type: ignore[assignment]
-    Bounds = LinearConstraint = linprog = milp = None
-    HAVE_SCIPY = False
-
 from ..exceptions import SolverError
 
 __all__ = ["Variable", "Constraint", "LPSolution", "LinearProgram"]
+
+# numpy and scipy.optimize are imported on the first solve, not here:
+# building and describing programs needs neither, and a process that never
+# solves an LP should not pay scipy's import time at start-up.
+np = optimize = None
+_scipy_importable: bool | None = None  # unknown until first tried
+
+
+def _load_scipy() -> bool:
+    """Import numpy and scipy.optimize on first use; whether they exist."""
+    global np, optimize, _scipy_importable
+    if _scipy_importable is None:
+        try:
+            import numpy
+            import scipy.optimize
+        except ImportError:  # modelling still works; solving raises
+            _scipy_importable = False
+        else:
+            np, optimize = numpy, scipy.optimize
+            _scipy_importable = True
+    return _scipy_importable
+
+
+def __getattr__(name: str) -> bool:
+    # HAVE_SCIPY keeps its meaning (numpy and scipy import) but is
+    # resolved on first access, which attempts the import.
+    if name == "HAVE_SCIPY":
+        return _load_scipy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -189,13 +208,13 @@ class LinearProgram:
     # -- solving ----------------------------------------------------------------------
     def solve_relaxation(self) -> LPSolution:
         """Solve the continuous relaxation (all variables within their bounds)."""
-        if not HAVE_SCIPY:
+        if not _load_scipy():
             raise SolverError("solving LPs requires numpy and scipy")
         if not self._variables:
             raise SolverError("cannot solve an LP with no variables")
         cost = self._objective_vector()
         a_ub, b_ub, a_eq, b_eq = self._constraint_matrices()
-        result = linprog(
+        result = optimize.linprog(
             cost,
             A_ub=np.array(a_ub) if a_ub else None,
             b_ub=np.array(b_ub) if b_ub else None,
@@ -210,7 +229,7 @@ class LinearProgram:
 
     def solve_integer(self) -> LPSolution:
         """Solve the (mixed-)integer program with scipy's HiGHS MILP backend."""
-        if not HAVE_SCIPY:
+        if not _load_scipy():
             raise SolverError("solving IPs requires numpy and scipy")
         if not self._variables:
             raise SolverError("cannot solve an IP with no variables")
@@ -222,12 +241,16 @@ class LinearProgram:
             for var_name, coef in constraint.coefficients.items():
                 row[self._variables[var_name].index] += coef
             if constraint.sense == "<=":
-                constraints.append(LinearConstraint(row, -np.inf, constraint.rhs))
+                constraints.append(
+                    optimize.LinearConstraint(row, -np.inf, constraint.rhs)
+                )
             elif constraint.sense == ">=":
-                constraints.append(LinearConstraint(row, constraint.rhs, np.inf))
+                constraints.append(
+                    optimize.LinearConstraint(row, constraint.rhs, np.inf)
+                )
             else:
                 constraints.append(
-                    LinearConstraint(row, constraint.rhs, constraint.rhs)
+                    optimize.LinearConstraint(row, constraint.rhs, constraint.rhs)
                 )
         integrality = np.zeros(n)
         lower = np.zeros(n)
@@ -236,11 +259,11 @@ class LinearProgram:
             integrality[variable.index] = 1.0 if variable.integral else 0.0
             lower[variable.index] = variable.lower
             upper[variable.index] = variable.upper
-        result = milp(
+        result = optimize.milp(
             c=cost,
             constraints=constraints,
             integrality=integrality,
-            bounds=Bounds(lower, upper),
+            bounds=optimize.Bounds(lower, upper),
         )
         if not result.success or result.x is None:
             return self._wrap_solution("infeasible", float("inf"), None)

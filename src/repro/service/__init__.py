@@ -44,41 +44,53 @@ Components
     connections, versioned-API negotiation, envelope-aware errors.
 :class:`SolveJob` / :func:`parse_solve_payload`
     The request codec; a job's ``key`` is the coalescing identity.
+:mod:`repro.service.wire`
+    The stdlib-only wire format (routes, body cap, JSON encoding, error
+    envelope) that the replica, the fleet front and the client share.
 """
 
-from .background import JobManager, MaintenanceScheduler, SweepJob
-from .client import ServiceClient, ServiceClientError
-from .coalescer import InFlight, RequestCoalescer
-from .fleet import FleetSupervisor, Replica
-from .jobs import (
-    JOB_STATES,
-    TERMINAL_JOB_STATES,
-    InstanceCache,
-    ServiceError,
-    ServiceTimeout,
-    SolveJob,
-    parse_solve_payload,
-)
-from .server import ServiceServer
-from .service import SolveService
+from __future__ import annotations
 
-__all__ = [
-    "FleetSupervisor",
-    "InFlight",
-    "InstanceCache",
-    "JOB_STATES",
-    "JobManager",
-    "MaintenanceScheduler",
-    "Replica",
-    "RequestCoalescer",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "ServiceServer",
-    "ServiceTimeout",
-    "SolveJob",
-    "SolveService",
-    "SweepJob",
-    "TERMINAL_JOB_STATES",
-    "parse_solve_payload",
-]
+import importlib
+from typing import Any
+
+#: Public name → defining submodule.  Exports load on first access
+#: (PEP 562), so ``import repro.service.fleet`` or ``.client`` — the
+#: stdlib-only front and client — never pay for the engine a replica runs.
+_EXPORTS = {
+    "FleetSupervisor": ".fleet",
+    "InFlight": ".coalescer",
+    "InstanceCache": ".jobs",
+    "JOB_STATES": ".jobs",
+    "JobManager": ".background",
+    "MaintenanceScheduler": ".background",
+    "Replica": ".fleet",
+    "RequestCoalescer": ".coalescer",
+    "ServiceClient": ".client",
+    "ServiceClientError": ".client",
+    "ServiceError": ".jobs",
+    "ServiceServer": ".server",
+    "ServiceTimeout": ".jobs",
+    "SolveJob": ".jobs",
+    "SolveService": ".service",
+    "SweepJob": ".background",
+    "TERMINAL_JOB_STATES": ".jobs",
+    "parse_solve_payload": ".jobs",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        message = f"module {__name__!r} has no attribute {name!r}"
+        raise AttributeError(message) from None
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

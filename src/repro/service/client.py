@@ -38,13 +38,12 @@ import time
 import urllib.parse
 from typing import Any, Callable, Mapping
 
+from .wire import API_PREFIX
+
 __all__ = ["ServiceClient", "ServiceClientError"]
 
 #: Job states after which polling can stop (mirrors ``JOB_STATES``).
 _TERMINAL_JOB_STATES = ("done", "failed", "cancelled")
-
-#: The API prefix this client speaks natively.
-_API_PREFIX = "/v1"
 
 #: Connection failures that mean "the server closed our parked keep-alive
 #: socket": safe to retry exactly once on a fresh connection, because no
@@ -192,7 +191,7 @@ class ServiceClient:
         """
         if self._base_path is None:
             try:
-                self._roundtrip("GET", f"{_API_PREFIX}/version", None)
+                self._roundtrip("GET", f"{API_PREFIX}/version", None)
             except ServiceClientError as exc:
                 if exc.status == 404:
                     self._base_path = ""  # pre-v1 server: legacy routes
@@ -201,9 +200,9 @@ class ServiceClient:
                 else:
                     # Any real HTTP answer (503 draining included) proves
                     # the /v1 surface exists.
-                    self._base_path = _API_PREFIX
+                    self._base_path = API_PREFIX
             else:
-                self._base_path = _API_PREFIX
+                self._base_path = API_PREFIX
         return self._base_path
 
     def request(self, method: str, path: str, payload: Any = None) -> dict[str, Any]:

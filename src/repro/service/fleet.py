@@ -3,9 +3,11 @@
 ``repro fleet --replicas N --store DIR --port P`` spawns N ``repro serve``
 processes that share a single derivation-store directory, and runs a
 stdlib HTTP front that proxies the versioned ``/v1`` API across them.
-One ``repro serve`` computes on a GIL-bound thread pool, so each replica
-is one core of solver work and ``--replicas N`` is how the service spends
-N cores.  The front adds:
+The front only moves bytes, so it imports nothing from the engine (its
+wire helpers live in :mod:`repro.service.wire`) and starts without
+numpy, scipy or networkx.  One ``repro serve`` computes on a GIL-bound
+thread pool, so each replica is one core of solver work and
+``--replicas N`` is how the service spends N cores.  The front adds:
 
 * **health-aware routing** — requests round-robin over the replicas whose
   ``/v1/healthz`` answers 200; a replica that reports 503 (draining) or
@@ -66,8 +68,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Sequence
 
-from .jobs import error_envelope
-from .server import encode_json, normalize_path
+from .wire import MAX_BODY_BYTES, encode_json, error_envelope, normalize_path
 
 __all__ = ["FleetSupervisor", "Replica"]
 
@@ -75,9 +76,6 @@ __all__ = ["FleetSupervisor", "Replica"]
 #: flushed banner line; the supervisor parses it to learn each replica's
 #: port.
 _BANNER = re.compile(r"listening on (http://[^\s]+)")
-
-#: Cap on request bodies accepted at the front (mirrors the replica cap).
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class Replica:
@@ -149,7 +147,7 @@ class _FleetHandler(BaseHTTPRequestHandler):
             self.send_header(
                 "Link", f"</v1{self._legacy_path}>; rel=\"successor-version\""
             )
-        if self.fleet.closing:
+        if self.fleet.closing or self.close_connection:
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
@@ -158,26 +156,38 @@ class _FleetHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass
 
-    def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
+    def _read_body(self) -> bytes | None:
+        """The POST body, or ``None`` once a 411/413 has answered instead.
+
+        Same framing rules as a replica: a body without a valid
+        ``Content-Length`` (a chunked one, say) or above the cap stays
+        unread, and its bytes would be parsed as the next request line, so
+        the refusal closes the connection.
+        """
         try:
-            length = int(length) if length is not None else 0
-        except ValueError:
-            length = 0
-        if length <= 0:
-            return b""
-        if length > _MAX_BODY_BYTES:
-            # Unread body: its bytes would garble the next keep-alive read.
-            self.close_connection = True
-            raise ValueError("request body too large")
+            length = int(self.headers.get("Content-Length"))
+        except (TypeError, ValueError):
+            return self._refuse(411, "Content-Length required")
+        if length < 0 or length > MAX_BODY_BYTES:
+            return self._refuse(413, "request body too large")
         return self.rfile.read(length)
+
+    def _refuse(self, status: int, message: str) -> None:
+        self.close_connection = True
+        self._respond(
+            status, encode_json(error_envelope("ServiceError", message, status))
+        )
 
     def _dispatch(self, method: str) -> None:
         route, legacy = normalize_path(self.path)
         self._legacy_path = route if legacy else None
         busy = self.fleet._mark_busy(self.connection)
         try:
-            body = self._read_body() if method == "POST" else b""
+            body = b""
+            if method == "POST":
+                body = self._read_body()
+                if body is None:
+                    return
             status, payload = self.fleet.dispatch(method, route, body)
             self._respond(status, payload)
         except Exception as exc:  # noqa: BLE001 - the front must always answer

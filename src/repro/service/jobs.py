@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..kernel import VALID_BACKENDS, resolve_backend
+from .wire import error_envelope
 
 __all__ = [
     "InstanceCache",
@@ -41,7 +42,6 @@ __all__ = [
     "ServiceError",
     "ServiceTimeout",
     "SolveJob",
-    "error_envelope",
     "parse_solve_payload",
 ]
 
@@ -53,21 +53,6 @@ JOB_STATES = ("pending", "running", "done", "failed", "cancelled")
 
 #: The subset of :data:`JOB_STATES` a job never leaves once entered.
 TERMINAL_JOB_STATES = ("done", "failed", "cancelled")
-
-
-def error_envelope(
-    error_type: str, message: str, status: int
-) -> dict[str, Any]:
-    """The one wire shape every error answers with (v1 API contract)::
-
-        {"error": {"type": ..., "message": ..., "status": ...}}
-
-    ``type`` is the failing exception's class name, ``status`` duplicates
-    the HTTP status so clients reading only the body lose nothing.
-    """
-    return {
-        "error": {"type": error_type, "message": message, "status": status}
-    }
 
 
 class ServiceError(Exception):

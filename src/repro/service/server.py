@@ -66,56 +66,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..exceptions import ProvenanceError
-from .jobs import ServiceError, error_envelope
+from .jobs import ServiceError
 from .service import SolveService
+from .wire import (
+    API_PREFIX,
+    MAX_BODY_BYTES,
+    encode_json,
+    error_envelope,
+    normalize_path,
+)
 
-__all__ = ["ServiceServer", "normalize_path"]
-
-#: Refuse request bodies larger than this (a serialized workflow payload is
-#: typically a few hundred KB at the arities this library targets).
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: The one API version this server speaks (the ``/v1`` route prefix).
-API_PREFIX = "/v1"
-
-
-def normalize_path(path: str) -> tuple[str, bool]:
-    """Map a request path onto the canonical route and a legacy flag.
-
-    ``/v1/solve`` → ``("/solve", False)``; the deprecated unprefixed
-    ``/solve`` → ``("/solve", True)``.  The fleet front shares this helper
-    so both layers agree on what counts as a legacy spelling.
-    """
-    if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-        return path[len(API_PREFIX):] or "/", False
-    return path, True
-
-
-def _scrub_nonfinite(value: Any) -> Any:
-    """Replace inf/nan floats with ``None`` anywhere in a JSON-able tree."""
-    import math
-
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _scrub_nonfinite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_scrub_nonfinite(item) for item in value]
-    return value
-
-
-def encode_json(payload: Any) -> bytes:
-    """Strict RFC-8259 JSON bytes (inf/nan scrubbed to null)."""
-    try:
-        text = json.dumps(payload, sort_keys=True, default=str, allow_nan=False)
-    except ValueError:
-        # Non-RFC-8259 floats (inf/nan) would break every non-Python
-        # client, so scrub them to null rather than emit the Python-only
-        # Infinity/NaN tokens.
-        text = json.dumps(
-            _scrub_nonfinite(payload), sort_keys=True, default=str, allow_nan=False
-        )
-    return text.encode("utf-8")
+__all__ = ["ServiceServer"]
 
 
 class _Handler(BaseHTTPRequestHandler):

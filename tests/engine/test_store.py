@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -620,6 +621,89 @@ class TestPopularityMeta:
         assert store.popularity(fingerprint) == 2
         popular = store.popular_workflows(1)
         assert popular[0][0] == fingerprint and popular[0][1] == 2
+
+    @pytest.mark.parametrize("first", ["save", "bump"])
+    def test_concurrent_meta_writers_lose_nothing(self, store, monkeypatch, first):
+        """A solve-path meta write and a popularity flush in one process:
+        whichever reads meta.json first must not overwrite what the other
+        one writes meanwhile (the payload warm-up needs, or an increment)."""
+        workflow = figure1_workflow()
+        fingerprint = workflow_fingerprint(workflow)
+        relation = workflow.provenance_relation()
+        store.bump_popularity(fingerprint, 2)
+        operations = {
+            "save": lambda: store.save_relation(
+                fingerprint, relation, workflow=workflow
+            ),
+            "bump": lambda: store.bump_popularity(fingerprint),
+        }
+        second = "bump" if first == "save" else "save"
+        # The first writer, having read meta.json, waits for the second to
+        # finish: the lost-update interleaving.  A writer that serializes
+        # meta updates keeps the second out until the first has written,
+        # so the wait times out instead.
+        first_read, second_done = threading.Event(), threading.Event()
+        real_read = store._read_raw
+        writer = threading.Thread(target=operations[first])
+
+        def read_raw(path):
+            payload = real_read(path)
+            if path.name == "meta.json" and threading.current_thread() is writer:
+                first_read.set()
+                second_done.wait(0.5)
+            return payload
+
+        monkeypatch.setattr(store, "_read_raw", read_raw)
+
+        def run_second() -> None:
+            if first_read.wait(10):
+                operations[second]()
+                second_done.set()
+
+        other = threading.Thread(target=run_second)
+        writer.start()
+        other.start()
+        for thread in (writer, other):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert second_done.is_set()
+        monkeypatch.undo()
+        meta = json.loads((store._dir(fingerprint) / "meta.json").read_text())
+        assert meta["popularity"] == 3
+        assert meta["workflow_payload"]["name"] == workflow.name
+
+    def test_meta_survives_a_thread_storm(self, store):
+        """8 threads bumping popularity while one saves the entry (the
+        maintenance flush racing the solve path): nothing is lost."""
+        workflow = figure1_workflow()
+        fingerprint = workflow_fingerprint(workflow)
+        relation = workflow.provenance_relation()
+        threads, bumps = 8, 25
+        barrier = threading.Barrier(threads + 1, timeout=10)
+
+        def bump() -> None:
+            barrier.wait()
+            for _ in range(bumps):
+                store.bump_popularity(fingerprint)
+
+        def save() -> None:
+            barrier.wait()
+            store.save_relation(fingerprint, relation, workflow=workflow)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads + 1) as pool:
+                futures = [pool.submit(bump) for _ in range(threads)]
+                futures.append(pool.submit(save))
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        meta = json.loads((store._dir(fingerprint) / "meta.json").read_text())
+        assert meta["popularity"] == threads * bumps
+        assert meta["workflow_payload"]["name"] == workflow.name
+        assert meta["format_version"] == store.format_version
 
     def test_popular_workflows_ranks_and_skips_unwarmables(self, store):
         ranked_wf = figure1_workflow()

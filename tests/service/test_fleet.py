@@ -10,6 +10,7 @@ is sequenced through events (``Blocker``, ``drain_started``), no sleeps.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -23,7 +24,7 @@ from repro.service import (
     SolveService,
 )
 from repro.service.fleet import _merge_numeric, _prefix_job_ids
-from repro.service.server import encode_json, normalize_path
+from repro.service.wire import MAX_BODY_BYTES, encode_json, normalize_path
 from repro.workloads import figure1_workflow, workflow_to_dict
 
 
@@ -49,6 +50,70 @@ class TestHelpers:
         # Bodies without a job id (or non-JSON) pass through untouched.
         assert _prefix_job_ids(b"[1, 2]", "r1") == b"[1, 2]"
         assert _prefix_job_ids(b"not json", "r1") == b"not json"
+
+
+@pytest.fixture
+def bare_front():
+    """A fleet front serving with no replica spawned.
+
+    Enough for what the front decides before dispatch: body framing."""
+    supervisor = FleetSupervisor(replicas=1, port=0)
+    thread = threading.Thread(target=supervisor.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield supervisor
+    finally:
+        supervisor.httpd.shutdown()
+        thread.join(10)
+
+
+def _exchange(front: FleetSupervisor, raw: bytes) -> tuple[int, dict, bytes]:
+    """Send raw request bytes; (status, JSON body, bytes after the body)."""
+    with socket.create_connection((front.host, front.port), timeout=10) as sock:
+        sock.sendall(raw)
+        response = b""
+        while chunk := sock.recv(65536):  # the front must close the socket
+            response += chunk
+    head, _, rest = response.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    length = int(headers["Content-Length"])
+    assert headers["Connection"] == "close"
+    return int(lines[0].split()[1]), json.loads(rest[:length]), rest[length:]
+
+
+class TestFrontBodyFraming:
+    """The front refuses bodies it cannot frame exactly as a replica does:
+    an enveloped 411/413, then the connection closes, so no leftover body
+    byte is ever parsed as the next request."""
+
+    def test_chunked_body_is_411_and_closes(self, bare_front):
+        body = b'{"gamma": 2}'
+        raw = (
+            b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        )
+        status, payload, trailing = _exchange(bare_front, raw)
+        assert status == 411
+        assert payload == {"error": {
+            "type": "ServiceError", "message": "Content-Length required",
+            "status": 411,
+        }}
+        assert trailing == b""  # no second (garbled) response
+
+    def test_oversize_body_is_413_and_closes(self, bare_front):
+        raw = (
+            b"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            + b"{}"
+        )
+        status, payload, trailing = _exchange(bare_front, raw)
+        assert status == 413
+        assert payload["error"]["type"] == "ServiceError"
+        assert payload["error"]["status"] == 413
+        assert trailing == b""
 
 
 class TestDrainOrderingUnderRestart:
