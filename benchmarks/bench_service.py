@@ -11,14 +11,14 @@ benchmark records both effects in ``BENCH_service.json``:
   ``repro serve`` over real HTTP.  The floor (:data:`SPEEDUP_FLOOR`) is 2x;
   in practice the win is dominated by the per-process start-up the server
   amortizes away, plus the cached verification out-sets.
-* **coalescing** — K identical concurrent ``/solve`` requests, fired
+* **coalescing** — K identical concurrent ``/v1/solve`` requests, fired
   through a start barrier while the first computation is still deriving,
   must perform **exactly one** requirement derivation: the ``coalesced``
   counter ends at ``K - 1`` and the cache's ``derivation_misses`` delta at
   1.  Thread scheduling is the only nondeterminism, so the phase sizes the
   instance to keep derivation well above scheduling jitter (and retries a
   fresh service up to 3 times before declaring failure).
-* **async jobs** — an N-cell grid posted to ``/jobs/sweep`` must hand back
+* **async jobs** — an N-cell grid posted to ``/v1/jobs/sweep`` must hand back
   its job handle in well under 100 ms (the submit latency is the point of
   the endpoint); the record also captures the background cell throughput.
   ``--jobs-only`` runs just this phase.
@@ -221,7 +221,7 @@ def run_coalescing_phase(tiny: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_jobs_phase(tiny: bool) -> dict:
-    """``POST /jobs/sweep`` answers immediately; cells land in background.
+    """``POST /v1/jobs/sweep`` answers immediately; cells land in background.
 
     Measures the submit latency (the whole point of the async endpoint:
     the handle must come back in well under 100 ms regardless of grid
@@ -241,7 +241,7 @@ def run_jobs_phase(tiny: bool) -> dict:
     try:
         client = ServiceClient(server.url, timeout=300.0)
         submit_started = time.perf_counter()
-        handle = client.submit_sweep_job(grid)
+        handle = client.request("POST", "/jobs/sweep", grid)
         submit_seconds = time.perf_counter() - submit_started
         final = client.wait_job(handle["job"], timeout=300, poll=0.05)
         wall_seconds = final["seconds"]

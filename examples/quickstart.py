@@ -153,12 +153,12 @@ def main() -> None:
         report.add_text(
             f"Service solve over HTTP ({server.url}): cost {served['cost']:.1f}, "
             f"solver {served['resolved_solver']!r}\n"
-            f"/metrics after one request: {metrics['requests']['solve']} solve "
+            f"/v1/metrics after one request: {metrics['requests']['solve']} solve "
             f"request(s), {metrics['coalesced']} coalesced, cache delta "
             f"{metrics['cache']['derivation_misses']} derivation(s)"
         )
 
-        # A whole grid, asynchronously: POST /jobs/sweep answers with a
+        # A whole grid, asynchronously: POST /v1/jobs/sweep answers with a
         # job handle immediately; the cells run in the background while
         # the client polls progress.  (`repro submit FILE --async
         # [--watch]` is the CLI spelling.)

@@ -9,15 +9,15 @@ ephemeral port (the same server ``repro serve`` runs standalone) and walks
 through the serving effects the service exists for:
 
 1. **coalescing** — K identical requests fired concurrently attach to one
-   computation; ``/metrics`` shows ``coalesced == K - 1`` and a single
+   computation; ``/v1/metrics`` shows ``coalesced == K - 1`` and a single
    requirement derivation;
 2. **module-tier reuse** — a *different* workflow sharing modules with the
    first reuses their derivations (``reused_modules``), so the serving win
    extends beyond byte-identical requests;
-3. **async jobs** — a grid posted to ``/jobs/sweep`` answers with a job
-   handle immediately; the client polls ``GET /jobs/<id>`` for progress
+3. **async jobs** — a grid posted to ``/v1/jobs/sweep`` answers with a job
+   handle immediately; the client polls ``GET /v1/jobs/<id>`` for progress
    and partial records while the cells run in the background;
-4. **graceful shutdown** — ``POST /shutdown`` (or SIGTERM on ``repro
+4. **graceful shutdown** — ``POST /v1/shutdown`` (or SIGTERM on ``repro
    serve``) drains in-flight work before the process exits;
 5. **a replica fleet on one store** — ``repro fleet --replicas 2 --store
    DIR`` supervises two full ``repro serve`` processes sharing one store

@@ -888,8 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
             "A threaded HTTP server holding one hot derivation cache (and "
             "optionally a persistent store) across requests.  Identical "
             "concurrent requests coalesce into one computation; GET "
-            "/metrics exposes the counters.  SIGTERM/SIGINT (and POST "
-            "/shutdown) drain in-flight work and exit 0."
+            "/v1/metrics exposes the counters.  SIGTERM/SIGINT (and POST "
+            "/v1/shutdown) drain in-flight work and exit 0."
         ),
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -1106,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="async_job",
         action="store_true",
         help=(
-            "submit as an asynchronous job (POST /jobs/sweep) and print the "
+            "submit as an asynchronous job (POST /v1/jobs/sweep) and print the "
             "job handle instead of waiting for the record"
         ),
     )

@@ -20,28 +20,28 @@ Components
     computation and all receive its result.
 :class:`RequestCoalescer`
     The keyed single-flight table behind the coalescing, with
-    leader/follower counters (``coalesced`` in ``/metrics``).
+    leader/follower counters (``coalesced`` in ``/v1/metrics``).
 :class:`JobManager` / :class:`MaintenanceScheduler`
-    The background subsystem: ``POST /jobs/sweep`` returns a job id
-    immediately and the cells run through the same pipeline
-    (``GET /jobs/<id>`` reports progress and partial records,
-    ``DELETE /jobs/<id>`` cancels); a scheduler thread owns store GC to a
-    byte budget, cache TTL expiry, popularity flushing and restart
-    warm-up.
+    The background subsystem: ``POST /v1/jobs/sweep`` returns a job id
+    immediately and the cells run through the same cell loop as
+    ``POST /v1/sweep`` (``GET /v1/jobs/<id>`` reports progress and partial
+    records, ``DELETE /v1/jobs/<id>`` cancels); a scheduler thread owns
+    store GC to a byte budget, cache TTL expiry, popularity flushing and
+    restart warm-up.
 :class:`ServiceServer`
     The threaded HTTP front for one replica: ``POST /v1/solve``,
     ``POST /v1/sweep``, ``POST /v1/jobs/sweep``, ``GET /v1/jobs[/<id>]``,
     ``DELETE /v1/jobs/<id>``, ``GET /v1/healthz``, ``GET /v1/metrics``,
-    ``GET /v1/version``, ``POST /v1/shutdown`` (unprefixed legacy aliases
-    answer with a ``Deprecation`` header); keep-alive connections;
-    graceful drain on stop.
+    ``GET /v1/version``, ``POST /v1/shutdown`` (any path outside ``/v1``
+    answers an enveloped 404); keep-alive connections; graceful drain on
+    stop.
 :class:`FleetSupervisor`
     ``repro fleet``: N supervised ``repro serve`` replica processes on
     one shared store behind a health-aware ``/v1`` proxy front, with
     budgeted respawns and drain-aware rolling restarts.
 :class:`ServiceClient`
     Stdlib client used by ``repro submit`` and scripts; keep-alive
-    connections, versioned-API negotiation, envelope-aware errors.
+    connections to the ``/v1`` API, envelope-aware errors.
 :class:`SolveJob` / :func:`parse_solve_payload`
     The request codec; a job's ``key`` is the coalescing identity.
 :mod:`repro.service.wire`

@@ -1,25 +1,27 @@
 """Async jobs and background maintenance for the solve service.
 
-``POST /sweep`` answers when the last cell finishes — fine for a dozen
+``POST /v1/sweep`` answers when the last cell finishes — fine for a dozen
 cells, hostile for a thousand: the client's connection (and its patience)
 becomes the scheduler.  This module gives the service the two background
 facilities a long-lived process needs:
 
 :class:`JobManager`
-    ``POST /jobs/sweep`` validates and expands the grid exactly like the
-    synchronous endpoint, then returns a job id immediately.  A per-job
-    runner thread pushes the cells through the *same* coalescing/solve
-    pipeline as ``/solve`` and ``/sweep`` — async cells coalesce with
-    synchronous traffic and share the result cache — dispatching at most
-    ``workers`` cells at a time so one huge job cannot monopolize the
-    pool's queue.  ``GET /jobs/<id>`` reports the state machine
+    ``POST /v1/jobs/sweep`` admits the grid exactly like the synchronous
+    endpoint (same 503 while draining, same 400 on a malformed grid),
+    then returns a job id immediately.  A per-job runner thread drives the
+    cells through the service's one cell loop — the loop ``/v1/sweep``
+    runs inline — so async cells coalesce with synchronous traffic, share
+    the result cache, and are dispatched at most ``workers`` at a time.
+    ``GET /v1/jobs/<id>`` reports the state machine
     (``pending → running → done | failed | cancelled``), per-cell progress
     counters and the **partial records** collected so far, in cell-index
-    order.  ``DELETE /jobs/<id>`` cancels: in-flight cells finish (worker
-    threads cannot be interrupted, and their results are cached for
-    whoever asks next), pending cells are dropped and counted.  Finished
-    jobs expire after a TTL from a bounded table, so a service polled by
-    crashing clients never leaks job state.
+    order.  ``DELETE /v1/jobs/<id>`` cancels: in-flight cells finish
+    (worker threads cannot be interrupted, and their results are cached
+    for whoever asks next), pending cells are dropped and counted.
+    Finished jobs expire after a TTL from a bounded table, so a service
+    polled by crashing clients never leaks job state.  Only async jobs
+    live in the table: a synchronous sweep never appears in it and never
+    moves the ``jobs`` counters.
 
 :class:`MaintenanceScheduler`
     One daemon thread owning periodic housekeeping, with jittered
@@ -34,7 +36,7 @@ facilities a long-lived process needs:
     requirement points, so the first solve of a popular instance hits the
     hot cache instead of paying compilation.
 
-Everything is observable through ``GET /metrics``: job gauges/counters
+Everything is observable through ``GET /v1/metrics``: job gauges/counters
 under ``jobs``, and ``maintenance.{gc_runs, gc_deleted_bytes,
 ttl_expired, warmed_packs, ...}``.
 """
@@ -45,7 +47,8 @@ import random
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from .jobs import TERMINAL_JOB_STATES, ServiceError, SolveJob
@@ -135,8 +138,8 @@ class JobManager:
     Parameters
     ----------
     service:
-        The owning :class:`~repro.service.service.SolveService`; cells are
-        admitted through its coalescer and worker pool.
+        The owning :class:`~repro.service.service.SolveService`; cells run
+        through its cell loop, coalescer and worker pool.
     job_ttl:
         Seconds a *finished* job stays queryable before :meth:`expire`
         removes it; ``None`` keeps finished jobs until evicted by the
@@ -169,17 +172,15 @@ class JobManager:
 
     # -- public endpoints --------------------------------------------------------
     def submit(self, body: Any) -> dict[str, Any]:
-        """``POST /jobs/sweep``: validate, register, start; the job handle.
+        """``POST /v1/jobs/sweep``: admit, register, start; the job handle.
 
-        Validation is synchronous (a malformed grid is a 400 on the
-        submit, never a failed job), execution is not: the returned
+        Admission is synchronous (a malformed grid is a 400 on the submit,
+        never a failed job), execution is not: the returned
         ``{"job": id, "state": ..., "cells": n}`` arrives before any cell
         runs.
         """
         self.service._count("jobs")
-        if self.service.draining:
-            raise ServiceError("service is draining", status=503)
-        cells = self.service._expand_sweep(body)
+        cells = self.service._sweep_cells(body)
         job = SweepJob(uuid.uuid4().hex[:12], cells)
         runner = threading.Thread(
             target=self._run, args=(job,), name=f"repro-job-{job.id}", daemon=True
@@ -198,19 +199,19 @@ class JobManager:
         return {"job": job.id, "state": job.state, "cells": job.total}
 
     def status(self, job_id: str, with_records: bool = True) -> dict[str, Any]:
-        """``GET /jobs/<id>``: the state snapshot (404 on unknown/expired)."""
+        """``GET /v1/jobs/<id>``: the state snapshot (404 on unknown/expired)."""
         self.service._count("jobs")
         with self._lock:
             return self._get_locked(job_id).as_dict(with_records)
 
     def list_jobs(self) -> list[dict[str, Any]]:
-        """``GET /jobs``: summaries (no records), oldest submission first."""
+        """``GET /v1/jobs``: summaries (no records), oldest submission first."""
         self.service._count("jobs")
         with self._lock:
             return [job.as_dict(with_records=False) for job in self._jobs.values()]
 
     def cancel(self, job_id: str) -> dict[str, Any]:
-        """``DELETE /jobs/<id>``: stop dispatching; drop pending cells.
+        """``DELETE /v1/jobs/<id>``: stop dispatching; drop pending cells.
 
         In-flight cells finish (their results land in the shared caches);
         the job reaches ``cancelled`` once the runner has collected them.
@@ -351,11 +352,6 @@ class JobManager:
 
     # -- the runner (one daemon thread per job) ----------------------------------
     def _run(self, job: SweepJob) -> None:
-        service = self.service
-        # At most `workers` cells dispatched at once: the job makes full
-        # use of the pool without flooding its queue, so concurrent /solve
-        # traffic still gets slots at worker-pool granularity.
-        window = max(1, service.workers)
         try:
             with self._changed:
                 if job.cancel.is_set():
@@ -364,29 +360,10 @@ class JobManager:
                 job.state = "running"
                 job.started_monotonic = time.monotonic()
                 self._changed.notify_all()
-            pending = deque(enumerate(job.cells))
-            active: "deque[tuple[int, SolveJob, Any]]" = deque()
-            while pending or active:
-                while pending and len(active) < window and not job.cancel.is_set():
-                    index, cell = pending.popleft()
-                    active.append((index, cell, self._dispatch(cell)))
-                if not active:
-                    break  # cancelled with nothing left in flight
-                # Collect in dispatch (= cell-index) order, so `records`
-                # is always a prefix of the final report and progress
-                # counters are monotone.
-                index, cell, outcome = active.popleft()
-                record = self._collect(cell, outcome)
-                record["index"] = index
-                with self._changed:
-                    job.records.append(record)
-                    if "error" in record:
-                        job.failed += 1
-                        self.cells_failed += 1
-                    else:
-                        job.completed += 1
-                        self.cells_completed += 1
-                    self._changed.notify_all()
+            # The service's one cell loop, each cell with its own timeout.
+            self.service._run_cells(
+                job.cells, partial(self._record, job), cancel=job.cancel
+            )
             with self._changed:
                 if job.cancel.is_set():
                     job.dropped = job.total - len(job.records)
@@ -401,49 +378,19 @@ class JobManager:
                 self.cells_dropped += job.dropped
                 self._finish_locked(job, "failed")
 
-    def _dispatch(self, cell: SolveJob) -> Any:
-        """Admit one cell; a finished record (cache hit) or a wait handle.
-
-        Never called from a pool thread: a runner waiting on pool work
-        from inside the pool would consume the very slot the computation
-        needs.
-        """
-        service = self.service
-        service._note_popularity(cell)
-        if service.reuse_results:
-            record = service._lookup_result(cell.key)
-            if record is not None:
-                with service._state:
-                    service.result_hits_memory += 1
-                record["coalesced"] = False
-                return record
-        return service._begin(cell)
-
-    def _collect(self, cell: SolveJob, outcome: Any) -> dict[str, Any]:
-        service = self.service
-        try:
-            if isinstance(outcome, dict):
-                return outcome
-            leader, entry = outcome
-            record = dict(
-                service.coalescer.wait(entry, service._effective_timeout(cell))
-            )
-            record["coalesced"] = not leader
-            return record
-        except BaseException as exc:  # per-cell isolation, like /sweep
-            service._count_failure(exc)
-            return {
-                "workflow": cell.label,
-                "gamma": cell.gamma,
-                "kind": cell.kind,
-                "solver": cell.solver,
-                "seed": cell.seed,
-                "method": cell.solver,
-                "cost": None,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "from_store": False,
-            }
+    def _record(self, job: SweepJob, record: dict[str, Any]) -> None:
+        """Append one collected cell; records arrive in cell-index order, so
+        ``records`` is always a prefix of the final report and progress
+        counters are monotone."""
+        with self._changed:
+            job.records.append(record)
+            if "error" in record:
+                job.failed += 1
+                self.cells_failed += 1
+            else:
+                job.completed += 1
+                self.cells_completed += 1
+            self._changed.notify_all()
 
     def _finish_locked(self, job: SweepJob, state: str) -> None:
         job.state = state

@@ -112,6 +112,17 @@ class RequestCoalescer:
             raise entry.error
         return entry.result
 
+    def wait_any(self, entries: list[InFlight], timeout: float | None = None) -> bool:
+        """Block until at least one of ``entries`` resolves; ``False`` on timeout.
+
+        Lets one caller collect several computations in completion order
+        (the service's cell loop) without a thread per entry.
+        """
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: any(entry.event.is_set() for entry in entries), timeout
+            )
+
     # -- introspection ----------------------------------------------------------
     def in_flight(self) -> int:
         """Number of distinct computations currently running."""

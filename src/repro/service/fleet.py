@@ -48,8 +48,8 @@ Everything else under ``/v1/`` — ``/solve``, ``/sweep``, ``/jobs/...`` —
 is proxied.  Jobs are replica-local state, so the fleet namespaces their
 ids: a handle from ``POST /v1/jobs/sweep`` comes back as ``r2.<id>`` and
 later ``GET /v1/jobs/r2.<id>`` routes to the owning replica; ``GET
-/v1/jobs`` fans out and merges.  Unprefixed legacy paths answer with a
-``Deprecation`` header, exactly like a single replica.
+/v1/jobs`` fans out and merges.  A path outside ``/v1`` answers an
+enveloped 404, exactly like a single replica.
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ class _FleetHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_legacy_path", None):
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f"</v1{self._legacy_path}>; rel=\"successor-version\""
-            )
         if self.fleet.closing or self.close_connection:
             self.send_header("Connection", "close")
             self.close_connection = True
@@ -179,8 +174,6 @@ class _FleetHandler(BaseHTTPRequestHandler):
         )
 
     def _dispatch(self, method: str) -> None:
-        route, legacy = normalize_path(self.path)
-        self._legacy_path = route if legacy else None
         busy = self.fleet._mark_busy(self.connection)
         try:
             body = b""
@@ -188,7 +181,7 @@ class _FleetHandler(BaseHTTPRequestHandler):
                 body = self._read_body()
                 if body is None:
                     return
-            status, payload = self.fleet.dispatch(method, route, body)
+            status, payload = self.fleet.dispatch(method, self.path, body)
             self._respond(status, payload)
         except Exception as exc:  # noqa: BLE001 - the front must always answer
             self._respond(
@@ -533,8 +526,10 @@ class FleetSupervisor:
         )
 
     # -- the fleet API -----------------------------------------------------------
-    def dispatch(self, method: str, route: str, body: bytes) -> tuple[int, bytes]:
+    def dispatch(self, method: str, path: str, body: bytes) -> tuple[int, bytes]:
         """Answer one front request; ``(status, body bytes)``."""
+        # A path outside /v1 matches no route and gets the 404 below.
+        route = normalize_path(path) or ""
         if method == "GET":
             if route == "/healthz":
                 return self._fleet_healthz()
@@ -575,7 +570,7 @@ class FleetSupervisor:
             if route.startswith("/jobs/"):
                 return self._job_route("DELETE", route)
         return 404, encode_json(
-            error_envelope("ServiceError", f"no such path {route!r}", 404)
+            error_envelope("ServiceError", f"no such path {path!r}", 404)
         )
 
     def _fleet_healthz(self) -> tuple[int, bytes]:

@@ -224,7 +224,7 @@ def _parse_costs(value: Any) -> tuple[tuple[str, float], ...] | None:
 def parse_solve_payload(
     body: Any, instances: InstanceCache
 ) -> SolveJob:
-    """Validate one ``POST /solve`` body and canonicalize it into a job.
+    """Validate one ``POST /v1/solve`` body and canonicalize it into a job.
 
     Raises :class:`ServiceError` (status 400) on anything malformed — an
     unknown field combination, a bad Γ, an unknown solver kind or backend,

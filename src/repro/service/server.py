@@ -7,10 +7,8 @@ pool — so slow solves occupy pool slots, not the accept loop.
 
 Routes (v1 API)
 ---------------
-Every endpoint is mounted under ``/v1/``; the unprefixed spellings from
-before the API was versioned still answer identically, but carry a
-``Deprecation: true`` header (plus a ``Link`` to the ``/v1`` successor) so
-clients and fleets can migrate on their own schedule.
+Every endpoint is mounted under ``/v1/``; any path outside it, the
+unprefixed spellings included, answers an enveloped 404.
 
 ``GET /v1/healthz``
     Liveness: ``{"status": "ok" | "draining", "draining": bool,
@@ -28,7 +26,8 @@ clients and fleets can migrate on their own schedule.
 ``POST /v1/solve``
     One solve request (see :mod:`repro.service.jobs` for the body schema).
 ``POST /v1/sweep``
-    An inline grid fanned through the solve pipeline (blocks until done).
+    An inline grid run through the service's cell loop on the handler
+    thread (blocks until done; never enters the job table).
 ``POST /v1/jobs/sweep``
     The same grid, asynchronously: answers 202 with a job id immediately
     (see :mod:`repro.service.background`).
@@ -63,18 +62,12 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable
 
 from ..exceptions import ProvenanceError
 from .jobs import ServiceError
 from .service import SolveService
-from .wire import (
-    API_PREFIX,
-    MAX_BODY_BYTES,
-    encode_json,
-    error_envelope,
-    normalize_path,
-)
+from .wire import MAX_BODY_BYTES, encode_json, error_envelope, normalize_path
 
 __all__ = ["ServiceServer"]
 
@@ -106,13 +99,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_legacy_path", None):
-            # The unversioned spelling still answers byte-identically, but
-            # tells clients where the supported route lives.
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f"<{API_PREFIX}{self._legacy_path}>; rel=\"successor-version\""
-            )
         if self.server.owner.closing:  # type: ignore[attr-defined]
             # Draining: finish this exchange, then let the socket go so
             # server_close() never waits on a parked keep-alive connection.
@@ -175,79 +161,76 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(f"request body is not valid JSON: {exc}") from exc
 
     # -- routes -----------------------------------------------------------------
-    def _route(self) -> str:
-        """Canonical (un-versioned) route; flags legacy spellings."""
-        route, legacy = normalize_path(self.path)
-        self._legacy_path = route if legacy else None
-        return route
+    def _dispatch(self, route_fn: Callable[[str], bool]) -> None:
+        """Answer one request: route it, or an enveloped 404."""
+        route = normalize_path(self.path)
+        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
+        try:
+            if route is None or not route_fn(route):
+                self._drain_body()  # unread body bytes would break keep-alive
+                self._not_found()
+        except Exception as exc:  # noqa: BLE001 - a handler must always answer
+            self._fail(exc)
+        finally:
+            if busy:
+                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
 
-    def _job_id(self, route: str) -> str | None:
-        """The ``<id>`` of a ``/jobs/<id>`` route (``None`` when malformed)."""
+    @staticmethod
+    def _job_id(route: str) -> str | None:
+        """The ``<id>`` of a ``/jobs/<id>`` route (``None`` otherwise)."""
+        if not route.startswith("/jobs/"):
+            return None
         job_id = route[len("/jobs/"):]
         return job_id if job_id and "/" not in job_id else None
 
+    def _get(self, route: str) -> bool:
+        if route == "/healthz":
+            payload = self.service.healthz()
+            # 503 while draining: body still answers, but balancers and
+            # pollers see "stop routing here" at the status level.
+            self._respond(503 if payload["draining"] else 200, payload)
+        elif route == "/metrics":
+            self._respond(200, self.service.metrics())
+        elif route == "/version":
+            self._respond(200, self.service.version())
+        elif route == "/jobs":
+            self._respond(200, {"jobs": self.service.jobs.list_jobs()})
+        elif self._job_id(route):
+            self._respond(200, self.service.jobs.status(self._job_id(route)))
+        else:
+            return False
+        return True
+
+    def _post(self, route: str) -> bool:
+        if route == "/solve":
+            self._respond(200, self.service.solve_payload(self._read_body()))
+        elif route == "/sweep":
+            self._respond(200, self.service.sweep_payload(self._read_body()))
+        elif route == "/jobs/sweep":
+            # 202: accepted, not done — the body is the job handle.
+            self._respond(202, self.service.jobs.submit(self._read_body()))
+        elif route == "/shutdown":
+            self._drain_body()  # the (ignored) body must leave the socket
+            self._respond(202, {"status": "shutting down"})
+            self.server.owner.stop_async()  # type: ignore[attr-defined]
+        else:
+            return False
+        return True
+
+    def _delete(self, route: str) -> bool:
+        if not self._job_id(route):
+            return False
+        self._respond(200, self.service.jobs.cancel(self._job_id(route)))
+        return True
+
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route == "/healthz":
-                payload = self.service.healthz()
-                # 503 while draining: body still answers, but balancers
-                # and pollers see "stop routing here" at the status level.
-                self._respond(503 if payload["draining"] else 200, payload)
-            elif route == "/metrics":
-                self._respond(200, self.service.metrics())
-            elif route == "/version":
-                self._respond(200, self.service.version())
-            elif route == "/jobs":
-                self._respond(200, {"jobs": self.service.jobs.list_jobs()})
-            elif route.startswith("/jobs/") and self._job_id(route):
-                self._respond(200, self.service.jobs.status(self._job_id(route)))
-            else:
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._dispatch(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route == "/solve":
-                self._respond(200, self.service.solve_payload(self._read_body()))
-            elif route == "/sweep":
-                self._respond(200, self.service.sweep_payload(self._read_body()))
-            elif route == "/jobs/sweep":
-                # 202: accepted, not done — the body is the job handle.
-                self._respond(202, self.service.jobs.submit(self._read_body()))
-            elif route == "/shutdown":
-                self._drain_body()  # the (ignored) body must leave the socket
-                self._respond(202, {"status": "shutting down"})
-                self.server.owner.stop_async()  # type: ignore[attr-defined]
-            else:
-                self._drain_body()
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._dispatch(self._post)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        busy = self.server.owner._mark_busy(self.connection)  # type: ignore[attr-defined]
-        try:
-            if route.startswith("/jobs/") and self._job_id(route):
-                self._respond(200, self.service.jobs.cancel(self._job_id(route)))
-            else:
-                self._not_found()
-        except Exception as exc:  # noqa: BLE001 - a handler must always answer
-            self._fail(exc)
-        finally:
-            if busy:
-                self.server.owner._mark_idle(self.connection)  # type: ignore[attr-defined]
+        self._dispatch(self._delete)
 
 
 class ServiceServer:

@@ -10,7 +10,7 @@ amortized cost of a solve approaches the solver call itself — the
 interpreter start-up, store attachment and kernel compilation a one-shot
 CLI invocation pays per run are paid once per *process*.
 
-Request flow for ``solve_payload``:
+Request flow for ``solve_payload`` (``POST /v1/solve``):
 
 1. parse + canonicalize the body into a :class:`~repro.service.jobs.SolveJob`
    (its :attr:`~repro.service.jobs.SolveJob.key` is the coalescing key);
@@ -25,10 +25,14 @@ Request flow for ``solve_payload``:
    first (sharing entries with ``repro sweep --store`` and warm CLI runs),
    then the planner solves through the shared thread-safe cache.
 
-``sweep_payload`` expands a grid into per-cell jobs and pushes them all
-through the *same* pipeline, so sweep cells coalesce with each other and
-with concurrent ``/solve`` traffic, and overlapping workflows share the
-module tier (``reused_modules`` in ``/metrics`` counts it).
+Steps 2–4 are the one admission sequence (``_admit`` → ``_await``,
+refusing with 503 once a drain has begun), and every cell of a grid runs
+through it in the one cell loop (``_run_cells``): ``sweep_payload`` runs
+that loop inline under one shared deadline, async jobs
+(:mod:`repro.service.background`) on their runner thread.  So sweep cells
+coalesce with each other and with concurrent ``/v1/solve`` traffic, and
+overlapping workflows share the module tier (``reused_modules`` in
+``/v1/metrics`` counts it).
 
 Every leader computation runs on the service's own thread pool, so one
 service is one GIL-bound core of solver work.  More cores come from more
@@ -36,17 +40,18 @@ processes: ``repro fleet --replicas N`` runs N services on one shared
 store behind a proxy front (:mod:`repro.service.fleet`).
 
 Shutdown is graceful by construction: :meth:`SolveService.drain` stops
-admitting new work (503), waits for every in-flight computation to publish
-its result, then shuts the pool down.
+admitting new work (503), waits for every in-flight computation — and every
+``/v1/sweep`` admitted before it — to publish its result, then shuts the
+pool down.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..engine import DerivationCache, Planner
 from ..engine.store import DerivationStore, ResultKey
@@ -233,7 +238,7 @@ class SolveService:
 
     @property
     def in_flight(self) -> int:
-        """Computations currently queued or running in the pool."""
+        """Computations queued or running in the pool, plus running sync sweeps."""
         with self._state:
             return self._in_flight
 
@@ -299,7 +304,7 @@ class SolveService:
         """Drop result/planner entries older than ``result_ttl``; count dropped.
 
         The maintenance pass calls this periodically (``ttl_expired`` in
-        ``/metrics``); ``now`` (a ``time.monotonic`` value) is injectable
+        ``/v1/metrics``); ``now`` (a ``time.monotonic`` value) is injectable
         so tests can advance the clock without sleeping.  A no-op when no
         TTL is configured.
         """
@@ -417,14 +422,19 @@ class SolveService:
         self._remember_result(job.key, record)
         return record
 
-    # -- admission and coalescing -----------------------------------------------
-    def _begin(self, job: SolveJob):
-        """Join (or start) the computation for a job; ``(is_leader, entry)``."""
+    # -- coalescing ---------------------------------------------------------------
+    def _begin(self, job: SolveJob, admitted: bool = False):
+        """Join (or start) the computation for a job; ``(is_leader, entry)``.
+
+        A new leader is refused (503) once a drain has begun, unless it is a
+        cell of a grid ``admitted`` before the drain, which holds the drain
+        open until it finishes.
+        """
         leader, entry = self.coalescer.join(job.key)
         if not leader:
             return leader, entry
         with self._state:
-            if self._draining:
+            if self._draining and not admitted:
                 refusal = ServiceError("service is draining", status=503)
                 self.coalescer.resolve(entry, error=refusal)
                 return leader, entry
@@ -435,9 +445,7 @@ class SolveService:
             # still resolve the single-flight entry: followers attached to
             # this leader would otherwise wait forever on a future that
             # never existed (e.g. submit against a shut-down pool).
-            with self._state:
-                self._in_flight -= 1
-                self._idle.notify_all()
+            self._release()
             self.coalescer.resolve(
                 entry,
                 error=ServiceError(
@@ -453,19 +461,32 @@ class SolveService:
                 result=None if error is not None else fut.result(),
                 error=error,
             )
-            with self._state:
-                self._in_flight -= 1
-                self._idle.notify_all()
+            self._release()
 
         future.add_done_callback(_publish)
         return leader, entry
 
+    def _release(self) -> None:
+        """End one unit of in-flight work (a computation or a sync sweep)."""
+        with self._state:
+            self._in_flight -= 1
+            self._idle.notify_all()
+
     def _effective_timeout(self, job: SolveJob) -> float | None:
         return job.timeout if job.timeout is not None else self.default_timeout
 
-    def submit(self, job: SolveJob) -> dict[str, Any]:
-        """Run one job end to end (blocking); the solve record."""
-        if self.draining:
+    # -- the one cell pipeline ---------------------------------------------------
+    def _admit(self, job: SolveJob, admitted: bool = False) -> Any:
+        """Admit one cell; a finished record (cache hit) or a wait handle.
+
+        The only admission sequence: ``submit``, ``/v1/sweep`` and async
+        job runners all go through it.  Refuse while draining (unless the
+        cell belongs to a grid ``admitted`` before the drain), answer a
+        repeat from the result cache, else join (or start) the coalesced
+        computation.  Never called from a pool thread: waiting on pool work
+        from inside the pool would consume the very slot it needs.
+        """
+        if not admitted and self.draining:
             raise ServiceError("service is draining", status=503)
         self._note_popularity(job)
         if self.reuse_results:
@@ -475,14 +496,122 @@ class SolveService:
                     self.result_hits_memory += 1
                 record["coalesced"] = False
                 return record
-        leader, entry = self._begin(job)
-        record = dict(self.coalescer.wait(entry, self._effective_timeout(job)))
+        return self._begin(job, admitted)
+
+    def _await(self, handle: Any, timeout: float | None) -> dict[str, Any]:
+        """The record an :meth:`_admit` handle resolves to; raises on failure."""
+        if isinstance(handle, dict):
+            return handle
+        leader, entry = handle
+        record = dict(self.coalescer.wait(entry, timeout))
         record["coalesced"] = not leader
         return record
 
+    def _error_record(self, job: SolveJob, exc: BaseException) -> dict[str, Any]:
+        """Count a failed cell and build the record reporting it."""
+        self._count_failure(exc)
+        return {
+            "workflow": job.label,
+            "gamma": job.gamma,
+            "kind": job.kind,
+            "solver": job.solver,
+            "seed": job.seed,
+            "method": job.solver,
+            # null, not float("inf"): Infinity is not valid JSON and this
+            # record crosses the HTTP boundary.
+            "cost": None,
+            "error": str(exc),
+            "error_type": type(exc).__name__,
+            "from_store": False,
+        }
+
+    def _run_cells(
+        self,
+        cells: list[SolveJob],
+        on_record: Callable[[dict[str, Any]], None],
+        cancel: threading.Event | None = None,
+        deadline: float | None = None,
+        admitted: bool = False,
+    ) -> None:
+        """The one cell loop: windowed dispatch, index-ordered delivery.
+
+        At most ``workers`` cells are in flight at once, so a big grid makes
+        full use of the pool without flooding its queue and concurrent
+        ``/v1/solve`` traffic still gets slots.  Cells are collected as they
+        complete, so a slow cell never idles the other slots, and their
+        records are handed to ``on_record`` in cell-index order, each tagged
+        with its ``index``; a failing cell yields an error record, never a
+        dead loop.  Dispatching stops once ``cancel`` is set (cells in
+        flight are still collected).  ``deadline`` (a ``time.monotonic``
+        value) is one budget shared by every cell; ``None`` gives each cell
+        its own timeout from its admission.  ``admitted`` is passed on to
+        :meth:`_admit`.
+        """
+        pending = deque(enumerate(cells))
+        # index -> (cell, handle, admission time, the cell's deadline or None)
+        active: dict[int, tuple[SolveJob, Any, float, float | None]] = {}
+        finished: dict[int, dict[str, Any]] = {}
+        delivered = 0
+        while pending or active:
+            while (
+                pending
+                and len(active) < self.workers
+                and not (cancel is not None and cancel.is_set())
+            ):
+                index, cell = pending.popleft()
+                try:
+                    handle = self._admit(cell, admitted)
+                except BaseException as exc:  # noqa: BLE001 - per-cell isolation
+                    handle = self._error_record(cell, exc)  # a finished record
+                now = time.monotonic()
+                cell_deadline = deadline
+                if deadline is None:
+                    timeout = self._effective_timeout(cell)
+                    if timeout is not None:
+                        cell_deadline = now + timeout
+                active[index] = (cell, handle, now, cell_deadline)
+            if not active:
+                break  # cancelled with nothing left in flight
+            now = time.monotonic()
+            ready = [
+                index
+                for index, (_, handle, _, cell_deadline) in active.items()
+                if isinstance(handle, dict)
+                or handle[1].event.is_set()
+                or (cell_deadline is not None and cell_deadline <= now)
+            ]
+            if not ready:
+                deadlines = [d for *_, d in active.values() if d is not None]
+                self.coalescer.wait_any(
+                    [handle[1] for _, handle, *_ in active.values()],
+                    min(deadlines) - now if deadlines else None,
+                )
+                continue
+            for index in ready:
+                cell, handle, admitted_at, cell_deadline = active.pop(index)
+                try:
+                    if not isinstance(handle, dict) and not handle[1].event.is_set():
+                        raise ServiceTimeout(
+                            "cell did not complete within "
+                            f"{cell_deadline - admitted_at:.3f}s (the computation "
+                            "keeps running; retry to pick up its result)"
+                        )
+                    record = self._await(handle, 0.0)
+                except BaseException as exc:  # noqa: BLE001 - per-cell isolation
+                    record = self._error_record(cell, exc)
+                record["index"] = index
+                finished[index] = record
+            while delivered in finished:
+                on_record(finished.pop(delivered))
+                delivered += 1
+
+    def submit(self, job: SolveJob) -> dict[str, Any]:
+        """Run one job end to end (blocking); the solve record."""
+        return self._await(self._admit(job), self._effective_timeout(job))
+
     # -- public endpoints --------------------------------------------------------
     def solve_payload(self, body: Any) -> dict[str, Any]:
-        """``POST /solve``: parse, coalesce, compute, answer."""
+        """``POST /v1/solve``: parse, coalesce, compute, answer."""
         self._count("solve")
         try:
             job = parse_solve_payload(body, self.instances)
@@ -492,77 +621,33 @@ class SolveService:
             raise
 
     def sweep_payload(self, body: Any) -> dict[str, Any]:
-        """``POST /sweep``: expand an inline grid through the solve pipeline.
+        """``POST /v1/sweep``: run an inline grid through the cell loop.
 
         The grid mirrors the executor's: ``workflows`` / ``problems`` are
         arrays of *inline instance payloads* (the service reads no files),
         crossed with ``gammas`` × ``kinds`` × ``solvers`` × ``seeds``.
-        Cells fan out concurrently, coalesce with each other and with
-        ``/solve`` traffic, and fail in isolation: a solver error yields an
-        error record, never a dead sweep.
+        Cells run on this (handler) thread through the same loop as async
+        jobs, without a job-table entry; they coalesce with each other and
+        with ``/v1/solve`` traffic, and fail in isolation: a solver error
+        yields an error record, never a dead sweep.  An admitted sweep
+        counts as in-flight work until it answers, so a drain that starts
+        meanwhile waits for the whole grid.
         """
         self._count("sweep")
+        cells = self._sweep_cells(body, hold=True)
         try:
-            jobs = self._expand_sweep(body)
-        except BaseException as exc:
-            self._count_failure(exc)
-            raise
-        started = time.perf_counter()
-        before = self.cache.stats()
-        coalesced_before = self.coalescer.coalesced
-        # Same admission path as /solve: completed identical cells come
-        # straight from the result cache; the rest join (or start) their
-        # computation.  `begun` holds either a finished record or a
-        # (leader, entry) pair to wait on.
-        begun: list[Any] = []
-        for job in jobs:
-            self._note_popularity(job)
-            record = self._lookup_result(job.key) if self.reuse_results else None
-            if record is not None:
-                with self._state:
-                    self.result_hits_memory += 1
-                record["coalesced"] = False
-                begun.append(record)
-            else:
-                begun.append(self._begin(job))
-        # One deadline for the whole request, shared by every cell wait —
-        # not one full timeout per cell (a 20-cell grid is one request,
-        # not 20 requests' worth of patience).
-        timeout = (
-            self.default_timeout if not jobs else self._effective_timeout(jobs[0])
-        )
-        deadline = None if timeout is None else time.monotonic() + timeout
-        records: list[dict[str, Any]] = []
-        for index, (job, outcome) in enumerate(zip(jobs, begun)):
-            try:
-                if isinstance(outcome, dict):
-                    record = outcome
-                else:
-                    leader, entry = outcome
-                    remaining = (
-                        None if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    record = dict(self.coalescer.wait(entry, remaining))
-                    record["coalesced"] = not leader
-            except BaseException as exc:
-                self._count_failure(exc)
-                record = {
-                    "workflow": job.label,
-                    "gamma": job.gamma,
-                    "kind": job.kind,
-                    "solver": job.solver,
-                    "seed": job.seed,
-                    "method": job.solver,
-                    # null, not float("inf"): Infinity is not valid JSON
-                    # and this report crosses the HTTP boundary.
-                    "cost": None,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                    "from_store": False,
-                }
-            record["index"] = index
-            records.append(record)
+            started = time.perf_counter()
+            before = self.cache.stats()
+            coalesced_before = self.coalescer.coalesced
+            # One deadline for the whole request, shared by every cell wait —
+            # not one full timeout per cell (a 20-cell grid is one request,
+            # not 20 requests' worth of patience).
+            timeout = self._effective_timeout(cells[0])
+            deadline = None if timeout is None else time.monotonic() + timeout
+            records: list[dict[str, Any]] = []
+            self._run_cells(cells, records.append, deadline=deadline, admitted=True)
+        finally:
+            self._release()
         delta = self.cache.stats().delta(before)
         return {
             "cells": len(records),
@@ -572,6 +657,26 @@ class SolveService:
             "stats": delta.as_dict(),
             "records": records,
         }
+
+    def _sweep_cells(self, body: Any, hold: bool = False) -> list[SolveJob]:
+        """Admit a grid: 503 while draining, 400 when malformed; the cells.
+
+        ``/v1/sweep`` and ``/v1/jobs/sweep`` both admit through here, so
+        they refuse, and count refusals in ``errors``, identically.  With
+        ``hold`` the grid takes one unit of in-flight work (atomically with
+        the draining check); the caller must :meth:`_release` it.
+        """
+        try:
+            cells = self._expand_sweep(body)
+            with self._state:
+                if self._draining:
+                    raise ServiceError("service is draining", status=503)
+                if hold:
+                    self._in_flight += 1
+            return cells
+        except BaseException as exc:
+            self._count_failure(exc)
+            raise
 
     def _expand_sweep(self, body: Any) -> list[SolveJob]:
         if not isinstance(body, Mapping):
@@ -621,7 +726,7 @@ class SolveService:
         return jobs
 
     def healthz(self) -> dict[str, Any]:
-        """``GET /healthz``: liveness plus drain state.
+        """``GET /v1/healthz``: liveness plus drain state.
 
         ``draining`` is an explicit boolean (the HTTP layer answers 503 on
         it) so load balancers and job pollers can tell "shutting down"
@@ -664,7 +769,7 @@ class SolveService:
         }
 
     def metrics(self) -> dict[str, Any]:
-        """``GET /metrics``: request counters, coalescing, cache/store deltas.
+        """``GET /v1/metrics``: request counters, coalescing, cache/store deltas.
 
         ``cache`` is the :meth:`~repro.engine.cache.CacheStats.delta` of the
         shared cache against the service's start-time baseline, so
@@ -704,8 +809,9 @@ class SolveService:
 
         Order matters: mark draining (new requests and job submits get
         503), cancel active jobs and stop the maintenance thread, wait for
-        job runners to collect their in-flight cells, flush pending
-        popularity to the store, then wait out the pool.  Idempotent.
+        job runners to collect their in-flight cells, wait out in-flight
+        computations and synchronous sweeps admitted before the drain, then
+        flush pending popularity to the store.  Idempotent.
         Returns ``True`` when everything drained within ``timeout``
         (``None`` waits indefinitely); on ``False`` the pool is still shut
         down, without waiting for its running computations.
@@ -723,10 +829,10 @@ class SolveService:
         self.jobs.cancel_all()
         self.maintenance.stop()
         self.jobs.join(_remaining())
-        self.flush_popularity()
         with self._state:
             drained = self._idle.wait_for(
                 lambda: self._in_flight == 0, _remaining()
             )
+        self.flush_popularity()
         self.pool.shutdown(wait=drained)
         return drained

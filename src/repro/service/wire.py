@@ -30,17 +30,16 @@ API_PREFIX = "/v1"
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-def normalize_path(path: str) -> tuple[str, bool]:
-    """Map a request path onto the canonical route and a legacy flag.
+def normalize_path(path: str) -> str | None:
+    """The route a request path names, or ``None`` outside ``/v1``.
 
-    ``/v1/solve`` → ``("/solve", False)``; the deprecated unprefixed
-    ``/solve`` → ``("/solve", True)``.  The replica and the fleet front
-    share this helper so both layers agree on what counts as a legacy
-    spelling.
+    ``/v1/solve`` → ``"/solve"``; an unprefixed ``/solve`` → ``None``,
+    which both the replica and the fleet front answer with an enveloped
+    404.
     """
     if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-        return path[len(API_PREFIX):] or "/", False
-    return path, True
+        return path[len(API_PREFIX):] or "/"
+    return None
 
 
 def error_envelope(

@@ -51,6 +51,20 @@ class TestRequestCoalescer:
         coalescer.resolve(entry, result="late")
         assert coalescer.wait(entry, timeout=1) == "late"
 
+    def test_wait_any_returns_once_one_entry_resolves(self):
+        coalescer = RequestCoalescer()
+        _, first = coalescer.join("a")
+        _, second = coalescer.join("b")
+        assert not coalescer.wait_any([first, second], timeout=0.01)
+        resolver = threading.Thread(
+            target=coalescer.resolve, args=(second,), kwargs={"result": 2}
+        )
+        resolver.start()
+        assert coalescer.wait_any([first, second], timeout=30)
+        resolver.join(30)
+        assert second.event.is_set() and not first.event.is_set()
+        coalescer.resolve(first, result=1)
+
 
 class TestServiceCoalescing:
     K = 4

@@ -9,10 +9,10 @@ is sequenced through events (``Blocker``, ``drain_started``), no sleeps.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
-import urllib.request
 
 import pytest
 
@@ -30,13 +30,13 @@ from repro.workloads import figure1_workflow, workflow_to_dict
 
 class TestHelpers:
     def test_normalize_path(self):
-        assert normalize_path("/v1/solve") == ("/solve", False)
-        assert normalize_path("/v1/jobs/abc") == ("/jobs/abc", False)
-        assert normalize_path("/v1") == ("/", False)
-        assert normalize_path("/solve") == ("/solve", True)
-        assert normalize_path("/healthz") == ("/healthz", True)
-        # /v1x is not the version prefix.
-        assert normalize_path("/v1x/solve") == ("/v1x/solve", True)
+        assert normalize_path("/v1/solve") == "/solve"
+        assert normalize_path("/v1/jobs/abc") == "/jobs/abc"
+        assert normalize_path("/v1") == "/"
+        # Unprefixed paths name no route; /v1x is not the version prefix.
+        assert normalize_path("/solve") is None
+        assert normalize_path("/healthz") is None
+        assert normalize_path("/v1x/solve") is None
 
     def test_merge_numeric_sums_leaves_and_skips_identity(self):
         totals: dict = {}
@@ -80,6 +80,50 @@ def _exchange(front: FleetSupervisor, raw: bytes) -> tuple[int, dict, bytes]:
     length = int(headers["Content-Length"])
     assert headers["Connection"] == "close"
     return int(lines[0].split()[1]), json.loads(rest[:length]), rest[length:]
+
+
+@pytest.fixture(params=["replica", "front"])
+def layer(request):
+    """Either HTTP layer: an in-process replica, or a bare fleet front
+    (a path outside /v1 is answered before any replica is consulted)."""
+    if request.param == "front":
+        yield request.getfixturevalue("bare_front")
+        return
+    server = ServiceServer(SolveService(workers=1), port=0).start()
+    try:
+        yield server
+    finally:
+        server.stop(drain_timeout=30)
+
+
+@pytest.mark.parametrize(
+    "method, path, body",
+    [
+        ("GET", "/healthz", None),
+        ("GET", "/metrics", None),
+        ("POST", "/solve", b'{"gamma": 2}'),
+        ("POST", "/jobs/sweep", b'{"workflows": []}'),
+        ("DELETE", "/jobs/abc", None),
+        ("GET", "/v1x/healthz", None),
+    ],
+    ids=["healthz", "metrics", "solve", "jobs-sweep", "delete-job", "v1x"],
+)
+def test_unprefixed_path_is_enveloped_404(layer, method, path, body):
+    """Only /v1 routes exist, at the replica and at the front alike."""
+    connection = http.client.HTTPConnection(layer.host, layer.port, timeout=30)
+    try:
+        # Twice on one keep-alive socket: an unrouted body must still
+        # leave the socket, or the second request line would be garbled.
+        for _ in range(2):
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read()) == {"error": {
+                "type": "ServiceError", "message": f"no such path {path!r}",
+                "status": 404,
+            }}
+    finally:
+        connection.close()
 
 
 class TestFrontBodyFraming:
@@ -280,12 +324,6 @@ class TestFleetServing:
         with pytest.raises(ServiceClientError) as excinfo:
             fleet_client.job("unprefixed-id")
         assert excinfo.value.status == 404
-
-    def test_legacy_alias_at_the_front_answers_deprecation_header(self, fleet):
-        with urllib.request.urlopen(f"{fleet.url}/healthz", timeout=30) as response:
-            assert response.status == 200
-            assert response.headers.get("Deprecation") == "true"
-            assert "/v1/healthz" in response.headers.get("Link", "")
 
     def test_unknown_route_is_enveloped_404(self, fleet_client):
         with pytest.raises(ServiceClientError) as excinfo:

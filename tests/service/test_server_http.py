@@ -67,32 +67,7 @@ class TestRoutes:
 
 
 class TestV1Surface:
-    """The versioned API: /v1 routes, legacy aliases, version, keep-alive."""
-
-    def _get(self, url: str):
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, dict(response.headers), json.loads(
-                response.read().decode("utf-8")
-            )
-
-    def test_v1_and_legacy_routes_answer_identically(self, served):
-        _, server, _ = served
-        status_v1, headers_v1, body_v1 = self._get(f"{server.url}/v1/healthz")
-        status_legacy, headers_legacy, body_legacy = self._get(
-            f"{server.url}/healthz"
-        )
-        assert status_v1 == status_legacy == 200
-        # uptime ticks between the two calls; everything else is identical.
-        body_v1.pop("uptime_seconds"), body_legacy.pop("uptime_seconds")
-        assert body_v1 == body_legacy
-
-    def test_legacy_alias_answers_deprecation_header(self, served):
-        _, server, _ = served
-        _, headers, _ = self._get(f"{server.url}/healthz")
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/healthz" in headers.get("Link", "")
-        _, headers_v1, _ = self._get(f"{server.url}/v1/healthz")
-        assert "Deprecation" not in headers_v1
+    """The versioned API: /v1 routes, version, keep-alive, error envelopes."""
 
     def test_version_reports_package_api_and_store_formats(self, served, tmp_path):
         _, _, client = served
@@ -112,16 +87,6 @@ class TestV1Surface:
         finally:
             server.stop(drain_timeout=30)
 
-    def test_client_negotiates_legacy_base_path(self, served):
-        _, server, _ = served
-        client = ServiceClient(server.url, timeout=30)
-        assert client._negotiated_base() == "/v1"
-        # A pre-v1 server 404s the probe; the client falls back to the
-        # unprefixed routes and keeps working.
-        legacy = ServiceClient(server.url, timeout=30)
-        legacy._base_path = ""
-        assert legacy.healthz()["status"] == "ok"
-
     def test_keep_alive_reuses_one_connection(self, served):
         _, server, client = served
         client.healthz()
@@ -140,13 +105,9 @@ class TestV1Surface:
         envelope = excinfo.value.payload["error"]
         assert envelope["status"] == 404 and "no such path" in envelope["message"]
 
-    def test_client_parses_legacy_flat_error_bodies(self):
+    def test_client_parses_error_envelopes(self):
         from repro.service.client import _error_details
 
-        message, error_type = _error_details(
-            {"error": "service is draining", "status": 503}, "fallback"
-        )
-        assert message == "service is draining" and error_type is None
         message, error_type = _error_details(
             {"error": {"type": "ServiceTimeout", "message": "too slow",
                        "status": 504}},
@@ -154,6 +115,10 @@ class TestV1Surface:
         )
         assert message == "too slow" and error_type == "ServiceTimeout"
         assert _error_details({}, "fallback") == ("fallback", None)
+        # Only the envelope is parsed; any other body yields the fallback.
+        assert _error_details({"error": "flat", "status": 503}, "fallback") == (
+            "fallback", None,
+        )
 
 
 class TestErrorMapping:
@@ -163,7 +128,7 @@ class TestErrorMapping:
             client.request("POST", "/solve", payload=None)  # empty body
         assert excinfo.value.status == 400
         request = urllib.request.Request(
-            f"{server.url}/solve",
+            f"{server.url}/v1/solve",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -179,7 +144,9 @@ class TestErrorMapping:
     def test_invalid_payload_is_400_with_reason(self, served):
         _, _, client = served
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit({"workflow": {"modules": []}, "gamma": "two"})
+            client.request(
+                "POST", "/solve", {"workflow": {"modules": []}, "gamma": "two"}
+            )
         assert excinfo.value.status == 400
         assert "gamma" in str(excinfo.value)
 
@@ -202,7 +169,7 @@ class TestErrorMapping:
         """Partial-failure sweep reports must parse under RFC 8259 rules."""
         _, server, _ = served
         request = urllib.request.Request(
-            f"{server.url}/sweep",
+            f"{server.url}/v1/sweep",
             data=json.dumps(
                 {"workflows": [figure1_payload], "solvers": ["no-such-solver"]}
             ).encode("utf-8"),
@@ -232,8 +199,8 @@ class TestErrorMapping:
                 # No request-level timeout: the server would hold the
                 # connection for its 30s default, far past the socket
                 # deadline.
-                impatient.submit(
-                    {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
+                impatient.solve(
+                    workflow=figure1_payload, gamma=2, solver="blocker"
                 )
             assert excinfo.value.status == 0
             assert "timed out" in str(excinfo.value)
@@ -247,9 +214,9 @@ class TestErrorMapping:
         try:
             client = ServiceClient(server.url, timeout=30)
             with pytest.raises(ServiceClientError) as excinfo:
-                client.submit(
-                    {"workflow": figure1_payload, "gamma": 2,
-                     "solver": "blocker", "timeout": 0.05}
+                client.solve(
+                    workflow=figure1_payload, gamma=2, solver="blocker",
+                    timeout=0.05,
                 )
             assert excinfo.value.status == 504
         finally:
@@ -262,7 +229,7 @@ class TestJobRoutes:
         _, server, client = served
         # 202 on the wire: accepted, not done.
         request = urllib.request.Request(
-            f"{server.url}/jobs/sweep",
+            f"{server.url}/v1/jobs/sweep",
             data=json.dumps(
                 {"workflows": [figure1_payload], "solvers": ["exact", "greedy"]}
             ).encode("utf-8"),
@@ -328,7 +295,7 @@ class TestJobRoutes:
     def test_malformed_grid_is_400_not_a_job(self, served):
         _, _, client = served
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit_sweep_job({"workflows": "nope"})
+            client.request("POST", "/jobs/sweep", {"workflows": "nope"})
         assert excinfo.value.status == 400
         assert client.jobs() == []
 
@@ -343,9 +310,7 @@ class TestShutdown:
         assert health["status"] == "ok" and health["draining"] is False
 
         def call() -> None:
-            client.submit(
-                {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
-            )
+            client.solve(workflow=figure1_payload, gamma=2, solver="blocker")
 
         request_thread = threading.Thread(target=call)
         request_thread.start()
@@ -368,7 +333,7 @@ class TestShutdown:
         service = SolveService(workers=1, default_timeout=30)
         server = ServiceServer(service, port=0).start()
         client = ServiceClient(server.url, timeout=30)
-        client.submit({"workflow": figure1_payload, "gamma": 2})
+        client.solve(workflow=figure1_payload, gamma=2)
         ack = client.shutdown()
         assert ack["status"] == "shutting down"
         server._thread.join(timeout=30)
@@ -386,8 +351,8 @@ class TestShutdown:
         outcome: dict = {}
 
         def call() -> None:
-            outcome["record"] = client.submit(
-                {"workflow": figure1_payload, "gamma": 2, "solver": "blocker"}
+            outcome["record"] = client.solve(
+                workflow=figure1_payload, gamma=2, solver="blocker"
             )
 
         request_thread = threading.Thread(target=call)

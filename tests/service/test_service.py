@@ -148,11 +148,91 @@ class TestDrain:
         assert outcome["record"]["cost"] > 0  # in-flight work was not dropped
         assert service.in_flight == 0
 
+    def test_sweep_during_drain_is_refused_with_503(
+        self, blocker, figure1_payload
+    ):
+        """A mid-drain /v1/sweep is a 503 the fleet front fails over on,
+        never a 200 full of "service is draining" error cells."""
+        service = SolveService(workers=1, registry=blocker.registry, default_timeout=30)
+        solver_thread = threading.Thread(
+            target=service.solve_payload,
+            args=({"workflow": figure1_payload, "gamma": 2, "solver": "blocker"},),
+        )
+        solver_thread.start()
+        drain_thread = threading.Thread(target=service.drain)
+        try:
+            assert blocker.started.wait(30)
+            drain_thread.start()
+            assert service.drain_started.wait(30)
+
+            errors_before = service.metrics()["errors"]
+            with pytest.raises(ServiceError) as excinfo:
+                service.sweep_payload(
+                    {"workflows": [figure1_payload], "solvers": ["exact"]}
+                )
+            assert excinfo.value.status == 503
+            assert service.metrics()["errors"] == errors_before + 1
+            assert service.coalescer.leaders == 1  # no sweep cell was started
+        finally:
+            blocker.release.set()
+            solver_thread.join(timeout=30)
+            drain_thread.join(timeout=30)
+        assert service.in_flight == 0
+
+    def test_drain_waits_for_a_sweep_admitted_before_it(
+        self, blocker, figure1_payload
+    ):
+        """A sweep already running when the drain starts answers complete:
+        its later cells are not refused, and the drain waits for them."""
+        service = SolveService(workers=1, registry=blocker.registry, default_timeout=30)
+        outcome: dict = {}
+        sweep_thread = threading.Thread(
+            target=lambda: outcome.update(
+                report=service.sweep_payload(
+                    {
+                        "workflows": [figure1_payload],
+                        "solvers": ["blocker"],
+                        "seeds": [0, 1],
+                    }
+                )
+            )
+        )
+        sweep_thread.start()
+        drained = threading.Event()
+        drain_thread = threading.Thread(
+            target=lambda: (service.drain(), drained.set())
+        )
+        try:
+            assert blocker.started.wait(30)  # cell 0 is in flight (window = 1)
+            drain_thread.start()
+            assert service.drain_started.wait(30)
+            assert not drained.is_set()
+        finally:
+            blocker.release.set()
+            sweep_thread.join(timeout=30)
+            drain_thread.join(timeout=30)
+        report = outcome["report"]
+        assert report["errors"] == 0, report["records"]
+        assert [r["index"] for r in report["records"]] == [0, 1]
+        assert all(r["cost"] > 0 for r in report["records"])
+        assert blocker.calls == 2
+        assert drained.is_set()
+        assert service.in_flight == 0
+
     def test_drain_is_idempotent(self, figure1_payload):
         service = SolveService(workers=1, default_timeout=30)
         service.solve_payload({"workflow": figure1_payload, "gamma": 2, "kind": "set"})
         assert service.drain(timeout=30)
         assert service.drain(timeout=30)
+
+
+MALFORMED_GRIDS = [
+    {},
+    {"workflows": "nope"},
+    {"workflows": [], "problems": []},
+    {"workflows": None, "problems": None},
+    {"workflows": [{"modules": []}], "gammas": "2"},
+]
 
 
 class TestSweep:
@@ -194,20 +274,31 @@ class TestSweep:
         assert service.drain(timeout=30)
 
     @pytest.mark.parametrize(
-        "body",
+        "endpoint, body",
         [
-            {},
-            {"workflows": "nope"},
-            {"workflows": [], "problems": []},
-            {"workflows": None, "problems": None},
-            {"workflows": [{"modules": []}], "gammas": "2"},
+            (endpoint, body)
+            for endpoint in ("sweep", "jobs")
+            for body in MALFORMED_GRIDS
+        ],
+        # /v1/sweep cases are body<i>, /v1/jobs/sweep cases jobs-body<i>.
+        ids=[
+            f"{prefix}body{index}"
+            for prefix in ("", "jobs-")
+            for index in range(len(MALFORMED_GRIDS))
         ],
     )
-    def test_malformed_sweeps_are_rejected(self, body):
+    def test_malformed_sweeps_are_rejected(self, endpoint, body):
+        """Both grid endpoints answer 400 and count it in ``errors``."""
         service = SolveService(workers=1, default_timeout=30)
+        submit = (
+            service.sweep_payload if endpoint == "sweep" else service.jobs.submit
+        )
         with pytest.raises(ServiceError) as excinfo:
-            service.sweep_payload(body)
+            submit(body)
         assert excinfo.value.status == 400
+        metrics = service.metrics()
+        assert metrics["errors"] == 1
+        assert metrics["jobs"]["submitted"] == 0
         assert service.drain(timeout=30)
 
     def test_null_axes_mean_defaults_not_a_crash(self, figure1_payload):
@@ -237,6 +328,85 @@ class TestSweep:
         assert service.metrics()["result_hits"]["memory"] == 2
         assert [r["cost"] for r in second["records"]] == [
             r["cost"] for r in first["records"]
+        ]
+        assert service.drain(timeout=30)
+
+    def test_sync_sweep_and_async_job_report_identical_records(
+        self, figure1_payload
+    ):
+        """/v1/sweep and /v1/jobs/sweep run one cell loop: same records,
+        in index order, failures included."""
+        grid = {
+            "workflows": [figure1_payload],
+            "gammas": [2, 3],
+            "solvers": ["exact", "no-such-solver", "greedy"],
+        }
+        volatile = ("seconds", "coalesced", "cache", "from_store")
+
+        def stable(records: list) -> list:
+            return [
+                {key: value for key, value in record.items() if key not in volatile}
+                for record in records
+            ]
+
+        sync_service = SolveService(workers=2, default_timeout=30)
+        report = sync_service.sweep_payload(dict(grid))
+        async_service = SolveService(workers=2, default_timeout=30)
+        handle = async_service.jobs.submit(dict(grid))
+        final = async_service.jobs.wait(handle["job"], timeout=30)
+
+        assert [r["index"] for r in report["records"]] == list(range(6))
+        assert stable(report["records"]) == stable(final["records"])
+        # Γ=2: the unknown solver fails; Γ=3 is infeasible for every solver.
+        assert report["errors"] == final["failed"] == 4
+        assert final["state"] == "done" and final["completed"] == 2
+        # A synchronous sweep never enters the job table.
+        assert sync_service.metrics()["jobs"]["submitted"] == 0
+        assert sync_service.jobs.list_jobs() == []
+        assert sync_service.drain(timeout=30)
+        assert async_service.drain(timeout=30)
+
+    def test_a_slow_cell_does_not_hold_up_dispatch(self, blocker, figure1_payload):
+        """With cell 0 blocked, the freed slot still takes cell 2; records
+        still come back in index order."""
+        from repro.engine.registry import default_registry
+
+        exact = default_registry().get("exact").fn
+        reached = threading.Event()
+
+        @blocker.registry.register("quick", summary="test solver")
+        def quick(problem):
+            return exact(problem)
+
+        @blocker.registry.register("marker", summary="test solver")
+        def marker(problem):
+            reached.set()
+            return exact(problem)
+
+        service = SolveService(workers=2, registry=blocker.registry, default_timeout=30)
+        outcome: dict = {}
+        sweep_thread = threading.Thread(
+            target=lambda: outcome.update(
+                report=service.sweep_payload(
+                    {
+                        "workflows": [figure1_payload],
+                        "solvers": ["blocker", "quick", "marker"],
+                    }
+                )
+            )
+        )
+        sweep_thread.start()
+        try:
+            assert reached.wait(30), "cell 2 waited for the blocked cell 0"
+            assert blocker.calls == 1 and not blocker.release.is_set()
+        finally:
+            blocker.release.set()
+            sweep_thread.join(timeout=30)
+        report = outcome["report"]
+        assert report["errors"] == 0
+        assert [r["index"] for r in report["records"]] == [0, 1, 2]
+        assert [r["solver"] for r in report["records"]] == [
+            "blocker", "quick", "marker",
         ]
         assert service.drain(timeout=30)
 
