@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro.core import Workflow
 from repro.engine import DerivationCache, Planner, SweepInstance, SweepSpec, run_sweep
+from repro.kernel import clear_compile_cache
 from repro.workloads import random_total_module, workflow_to_dict
 
 RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_incremental.json"
@@ -83,9 +84,15 @@ def run_benchmark(tiny: bool = False) -> dict:
     gamma, kind = 2, "cardinality"
 
     # -- cold: every variant pays full derivation in a fresh cache ----------
+    # Each cold solve also gets module objects of its own and an empty kernel
+    # compile memo: fingerprints and packed privacy levels are memoized per
+    # module object, so sharing objects across variants would let a "cold"
+    # solve reuse the previous variant's work.
     cold_seconds: list[float] = []
     cold_costs: list[float] = []
-    for workflow in family:
+    for index in range(len(family)):
+        workflow = build_family(tiny, n_edits)[0][index]
+        clear_compile_cache()
         cache = DerivationCache()
         start = time.perf_counter()
         result = Planner(workflow, gamma, kind=kind, cache=cache).solve(solver="auto")

@@ -22,6 +22,12 @@ requirement-derivation hot path and records it in ``BENCH_kernel.json``:
   The batched path must be at least :data:`SPEEDUP_FLOOR` times faster and
   must pay O(batches) relation passes instead of O(masks) (both asserted),
   with byte-identical privacy levels.
+* **minimal** — the levelwise minimal-safe-subset search (the set-
+  requirement primitive) on one ``random_total_module`` vs the
+  ``reference`` enumerate-and-filter, on a fresh compile per repeat.  The
+  lists must be equal (asserted), and the record keeps how many visible
+  masks the kernel evaluated against the ``2^n`` hidden sets the
+  reference probes.  The speedup is gated by ``check_regressions.py``.
 
 Run standalone (used by the CI smoke step) with::
 
@@ -40,6 +46,7 @@ from repro.core.requirements import (
     derive_module_requirement,
     derive_workflow_requirements,
 )
+from repro.core.standalone import minimal_safe_hidden_subsets
 from repro.kernel import CompiledModule, clear_compile_cache, sweep_batching
 from repro.workloads import figure1_workflow, random_total_module
 
@@ -185,6 +192,46 @@ def measure_batched_sweep(tiny: bool = False, gamma: int = 2) -> dict:
     }
 
 
+def measure_minimal(tiny: bool = False, gamma: int = 2) -> dict:
+    """Levelwise kernel vs reference minimal safe hidden subsets.
+
+    The kernel compiles afresh every repeat, so no privacy-level memo
+    carries over; ``masks_evaluated`` counts the visible masks its sweep
+    actually resolved (scalar plus batched), against the ``2^n`` hidden
+    sets the reference enumerates before filtering.
+    """
+    n_inputs, n_outputs = (4, 3) if tiny else (7, 5)
+    module = random_total_module(31, n_inputs, n_outputs, "mm", "mm_")
+    lists: dict[str, list] = {}
+    stats: dict[str, int] = {}
+
+    def run_reference():
+        lists["reference"] = minimal_safe_hidden_subsets(
+            module, gamma, backend="reference"
+        )
+
+    def run_kernel():
+        compiled = CompiledModule(module)
+        lists["kernel"] = compiled.minimal_safe_hidden_subsets(gamma)
+        stats.update(compiled.sweep_stats)
+
+    reference_seconds = _best_of(run_reference)
+    kernel_seconds = _best_of(run_kernel)
+    assert lists["kernel"] == lists["reference"], (
+        "levelwise and reference minimal safe subsets disagree"
+    )
+    return {
+        "shape": [n_inputs, n_outputs],
+        "gamma": gamma,
+        "minimal_sets": len(lists["kernel"]),
+        "hidden_sets": 2 ** (n_inputs + n_outputs),
+        "masks_evaluated": stats["scalar_masks"] + stats["batched_masks"],
+        "reference_seconds": reference_seconds,
+        "kernel_seconds": kernel_seconds,
+        "speedup": reference_seconds / kernel_seconds,
+    }
+
+
 def measure_verification() -> dict:
     """Kernel vs reference out-set enumeration on the Figure-1 workflow."""
     workflow = figure1_workflow()
@@ -229,6 +276,7 @@ def run_benchmark(tiny: bool = False) -> dict:
         "derivation": measure_derivation(tiny=tiny),
         "verification": measure_verification(),
         "batched": measure_batched_sweep(tiny=tiny),
+        "minimal": measure_minimal(tiny=tiny),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     write_record(record)
@@ -281,6 +329,16 @@ if pytest is not None:
                 f"{batched['speedup']:.1f}x",
             ]
         )
+        minimal = record["minimal"]
+        rows.append(
+            [
+                f"minimal subsets ({minimal['masks_evaluated']}/"
+                f"{minimal['hidden_sets']} masks)",
+                f"{minimal['reference_seconds'] * 1e3:.1f}",
+                f"{minimal['kernel_seconds'] * 1e3:.1f}",
+                f"{minimal['speedup']:.1f}x",
+            ]
+        )
         report_sink.append(
             (
                 "Kernel: bit-compiled backend vs brute-force reference "
@@ -326,6 +384,13 @@ def main(argv: list[str] | None = None) -> int:
         f"({batched['speedup']:.1f}x; {batched['scalar_passes']} -> "
         f"{batched['batched_passes']} relation passes; "
         f"derivation {batched['derivation_speedup']:.1f}x)"
+    )
+    minimal = record["minimal"]
+    print(
+        f"minimal subsets: reference {minimal['reference_seconds']:.4f}s, "
+        f"levelwise {minimal['kernel_seconds']:.4f}s "
+        f"({minimal['speedup']:.1f}x; {minimal['masks_evaluated']} of "
+        f"{minimal['hidden_sets']} masks evaluated)"
     )
     print(f"record written to {RECORD_PATH}")
     if not tiny:

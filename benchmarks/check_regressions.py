@@ -11,8 +11,9 @@ happens to produce.
 
 Gated metrics per benchmark (dotted paths into the fresh record):
 
-* ``bench_kernel``       — derivation speedup (set and cardinality) and
-  out-set verification speedup of the compiled backend over the reference;
+* ``bench_kernel``       — derivation speedup (set and cardinality),
+  out-set verification speedup, batched mask-sweep speedup and levelwise
+  minimal-safe-subset speedup of the compiled backend over the reference;
 * ``bench_sweep``        — warm-store parallel sweep over serial cold;
 * ``bench_incremental``  — edit-one-module re-solve over a cold solve;
 * ``bench_service``      — warm-server throughput over sequential cold CLI
@@ -69,6 +70,10 @@ GATES: dict[str, tuple[str, str, dict[str, float | str]]] = {
             # PR 8 batched mask-sweep vs one scalar relation pass per mask;
             # healthy tiny runs measure ~4x, a lost batch path ~1x.
             "batched.speedup": 2.0,
+            # Levelwise minimal safe subsets vs the reference enumerate-and-
+            # filter; healthy tiny runs measure ~40x, a sweep that lost its
+            # levelwise pruning ~1x.
+            "minimal.speedup": 2.0,
         },
     ),
     "sweep": (

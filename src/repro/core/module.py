@@ -11,10 +11,16 @@ The standalone relation of a module is obtained by enumerating its whole
 input domain (``Dom = prod_a Delta_a``) and recording ``m(x)`` for every
 ``x``; this is the relation ``R`` of Definition 1 and the object the
 standalone Secure-View machinery works on.
+
+A module built by :meth:`Module.from_table` (as every deserialized module
+is) keeps its explicit input-tuple -> output-tuple table.  Serialization,
+fingerprinting and kernel compilation read that table directly, so they
+never materialize the relation.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import SchemaError, WiringError
@@ -59,6 +65,8 @@ class Module:
         "private",
         "privatization_cost",
         "_relation_cache",
+        "_table",
+        "_fingerprint",
     )
 
     def __init__(
@@ -91,6 +99,68 @@ class Module:
         self.private = bool(private)
         self.privatization_cost = float(privatization_cost)
         self._relation_cache: Relation | None = None
+        #: Explicit functionality of a table-backed module (see from_table).
+        self._table: dict[tuple[Value, ...], tuple[Value, ...]] | None = None
+        #: Content-fingerprint memo, filled by
+        #: :func:`repro.workloads.module_fingerprint`.  Costs and the privacy
+        #: flag are not part of it, so content-preserving clones copy it.
+        self._fingerprint: str | None = None
+
+    @classmethod
+    def from_table(
+        cls,
+        name: str,
+        inputs: Sequence[Attribute],
+        outputs: Sequence[Attribute],
+        table: Mapping[tuple[Value, ...], Sequence[Value]],
+        private: bool = True,
+        privatization_cost: float = 1.0,
+    ) -> "Module":
+        """A module whose functionality is an explicit lookup table.
+
+        ``table`` maps input tuples (in ``inputs`` order) to output tuples
+        (in ``outputs`` order).  It is checked once against the schemas and
+        kept in the enumeration order of the input domain, exactly as
+        :func:`tabulate_function` lists a module's relation: every input
+        assignment needs an entry with one in-domain value per output
+        (:class:`SchemaError` otherwise), and entries outside the input
+        domain are dropped.
+        """
+        input_names = tuple(attr.name for attr in inputs)
+        output_names = tuple(attr.name for attr in outputs)
+        checked: dict[tuple[Value, ...], tuple[Value, ...]] = {}
+
+        def function(values: Mapping[str, Value]) -> dict[str, Value]:
+            # ``apply`` validated the inputs, so the checked table has the key.
+            key = tuple(values[input_name] for input_name in input_names)
+            return dict(zip(output_names, checked[key]))
+
+        module = cls(
+            name,
+            inputs,
+            outputs,
+            function,
+            private=private,
+            privatization_cost=privatization_cost,
+        )
+        output_domains = [attr.domain for attr in module.output_schema]
+        for key in itertools.product(*(a.domain.values for a in module.input_schema)):
+            try:
+                image = tuple(table[key])
+            except KeyError as exc:
+                raise SchemaError(
+                    f"module {name!r} has no tabulated output for {key!r}"
+                ) from exc
+            if len(image) != len(output_domains):
+                raise SchemaError(
+                    f"module {name!r} maps {key!r} to {len(image)} values, "
+                    f"expected {len(output_domains)}"
+                )
+            for domain, value in zip(output_domains, image):
+                domain.validate(value)
+            checked[key] = image
+        module._table = checked
+        return module
 
     # -- schema access --------------------------------------------------------
     @property
@@ -147,19 +217,32 @@ class Module:
         return self.apply(inputs)
 
     # -- relation materialization ----------------------------------------------
+    @property
+    def table(self) -> dict[tuple[Value, ...], tuple[Value, ...]] | None:
+        """The explicit functionality of a table-backed module, else ``None``.
+
+        Read-only by convention: content-preserving clones share it.
+        """
+        return self._table
+
     def relation(self) -> Relation:
         """The standalone relation ``R`` of the module (Definition 1).
 
-        Enumerates the full input domain.  The result is cached because
-        privacy checks and requirement derivation revisit it many times.
+        Enumerates the full input domain (a table-backed module reads its
+        table instead of calling the function).  The result is cached
+        because privacy checks and requirement derivation revisit it many
+        times.
         """
         if self._relation_cache is None:
-            rows = []
-            for assignment in self._inputs.iter_assignments():
-                out = self.apply(assignment)
-                row = dict(assignment)
-                row.update(out)
-                rows.append(row)
+            if self._table is not None:
+                rows = [key + image for key, image in self._table.items()]
+            else:
+                rows = []
+                for assignment in self._inputs.iter_assignments():
+                    out = self.apply(assignment)
+                    row = dict(assignment)
+                    row.update(out)
+                    rows.append(row)
             self._relation_cache = Relation(self.schema, rows, check_domains=False)
         return self._relation_cache
 
@@ -244,16 +327,16 @@ class Module:
             private=True,
             privatization_cost=self.privatization_cost,
         )
-        clone._relation_cache = self._relation_cache
+        clone._share_content(self)
         return clone
 
     def with_attribute_costs(self, costs: Mapping[str, float]) -> "Module":
         """Copy of the module with some attribute hiding costs overridden.
 
         Attributes absent from ``costs`` keep their declared cost.  Privacy
-        is cost-independent, so the copy shares this module's relation cache
-        (the engine's derivation cache relies on that when re-costing a
-        workflow for a what-if solve).
+        is cost-independent, so the copy shares this module's relation,
+        table and fingerprint (the engine's derivation cache relies on that
+        when re-costing a workflow for a what-if solve).
         """
         clone = Module(
             self.name,
@@ -263,14 +346,21 @@ class Module:
             private=self.private,
             privatization_cost=self.privatization_cost,
         )
-        clone._relation_cache = self._relation_cache
+        clone._share_content(self)
         return clone
+
+    def _share_content(self, source: "Module") -> None:
+        """Adopt ``source``'s functionality artifacts (same function and names)."""
+        self._relation_cache = source._relation_cache
+        self._table = source._table
+        self._fingerprint = source._fingerprint
 
     def with_function(self, function: ModuleFunction) -> "Module":
         """Copy of the module with a different functionality.
 
         This is the redefinition ``m_j -> g_j`` used in the constructive
-        proof of Lemma 1 (see :mod:`repro.core.composition`).
+        proof of Lemma 1 (see :mod:`repro.core.composition`).  The copy is
+        function-backed: it inherits no table, relation or fingerprint.
         """
         return Module(
             self.name,
@@ -294,11 +384,12 @@ def tabulate_function(module: Module) -> dict[tuple[Value, ...], tuple[Value, ..
 
     Handy for tests and for constructing flipped/redefined modules: the keys
     are input tuples in ``module.input_names`` order and the values output
-    tuples in ``module.output_names`` order.
+    tuples in ``module.output_names`` order.  A table-backed module returns
+    its own table (do not mutate it); any other module is tabulated from its
+    relation.
     """
-    table: dict[tuple[Value, ...], tuple[Value, ...]] = {}
-    for row in module.relation():
-        key = tuple(row[name] for name in module.input_names)
-        value = tuple(row[name] for name in module.output_names)
-        table[key] = value
-    return table
+    if module.table is not None:
+        return module.table
+    # Relation columns are the module schema: inputs, then outputs.
+    split = len(module.input_names)
+    return {row[:split]: row[split:] for row in module.relation().tuples}

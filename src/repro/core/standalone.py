@@ -16,10 +16,12 @@ the matching upper bounds of Section 3.2:
   — the "output all safe attribute sets" variant mentioned at the end of
   Section 3.2, which Sections 4–5 reuse as requirement lists.
 
-With ``backend="kernel"`` (the default) the safe-subset sweeps behind
-these entry points are batched: the compiled kernel evaluates many
-candidate masks per vectorized pass over the packed relation instead of
-one subset at a time (see :mod:`repro.kernel.module_kernel`).
+With ``backend="kernel"`` (the default) the minimal safe subsets are found
+by a levelwise search that evaluates only the border between unsafe and
+safe hidden sets, one batched pass per level, and the full safe family is
+the upward closure of those minimal sets (see
+:mod:`repro.kernel.module_kernel`).  ``backend="reference"`` enumerates
+every subset through the Safe-View oracle and is the validation oracle.
 """
 
 from __future__ import annotations
@@ -194,9 +196,10 @@ def enumerate_safe_hidden_subsets(
 
     The list is sorted by (size, lexicographic) order.  This is the
     exhaustive enumeration mentioned at the end of Section 3.2; Sections 4–5
-    use it to build requirement lists.  The kernel backend runs the sweep on
-    the module's packed relation with monotonicity pruning; the reference
-    backend probes the Safe-View oracle subset by subset.
+    use it to build requirement lists.  The kernel backend computes the
+    upward closure of the levelwise minimal safe subsets (Proposition 1),
+    touching the packed relation only at the unsafe/safe border; the
+    reference backend probes the Safe-View oracle subset by subset.
     """
     from ..kernel import compile_module, resolve_backend
 
@@ -226,7 +229,10 @@ def minimal_safe_hidden_subsets(
     By Proposition 1 safety is monotone in the hidden set (hiding more never
     hurts), so the minimal hidden sets form an antichain that fully describes
     all safe choices.  These are exactly the pairs ``(I_i^j, O_i^j)`` a
-    set-constraint requirement list enumerates.
+    set-constraint requirement list enumerates.  The kernel backend finds
+    them by levelwise search over the border of the unsafe family; the
+    reference backend filters the full enumeration.  Both return them in
+    ``(size, sorted names)`` order.
     """
     from ..kernel import compile_module, resolve_backend
 

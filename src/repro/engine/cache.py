@@ -73,23 +73,25 @@ from ..kernel import (
     compile_workflow,
     resolve_backend,
 )
+from ..workloads.fingerprint import module_fingerprint, workflow_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DerivationStore
 
 __all__ = ["CacheStats", "DerivationCache", "MEMORY_LIMIT"]
 
-#: Bound on in-memory entries per artifact category (FIFO eviction).
-MEMORY_LIMIT = 128
-
-#: Bound on pinned workflows/modules.  Pins keep the objects behind the
+#: The cache's one bound: in-memory entries per artifact category (FIFO
+#: eviction) *and* pinned workflows.  Pins keep the objects behind the
 #: ``id()``-keyed tables alive so an id can never be recycled while its
-#: entries exist; evicting a pin therefore purges its entries with it.
-#: Long-lived processes (the solve service) would otherwise grow without
-#: bound as distinct instances stream past.  Workflows with *seeded*
-#: requirement lists are exempt — those lists are not re-derivable, so
-#: dropping them could change answers.
-PIN_LIMIT = 4 * MEMORY_LIMIT
+#: entries exist; evicting a pin purges its entries with it.  With one
+#: bound for both, no pin outlives its entries to anchor nothing but a
+#: fingerprint memo, and a long-lived process (the solve service) holds at
+#: most this many distinct workflows however many stream past.  Workflows
+#: with *seeded* requirement lists are exempt — those lists are not
+#: re-derivable, so dropping them could change answers.  Module artifacts
+#: are keyed by content fingerprint, memoized on the module itself, so
+#: modules need no pins.
+MEMORY_LIMIT = 128
 
 
 def _locked(method):
@@ -195,10 +197,10 @@ class DerivationCache:
     """Memoizes derivations with a bounded memory front and optional disk back.
 
     Workflows are identified by object identity (they are mutable graph
-    containers); the cache pins every workflow it has seen so an ``id()``
-    can never be recycled while its entries are alive.  A cache may be
-    shared freely across :class:`~repro.engine.planner.Planner` instances —
-    e.g. one cache for a whole parameter sweep.
+    containers); the cache pins up to ``max_entries`` workflows so an
+    ``id()`` can never be recycled while its entries are alive.  A cache may
+    be shared freely across :class:`~repro.engine.planner.Planner`
+    instances — e.g. one cache for a whole parameter sweep.
 
     Pass a :class:`~repro.engine.store.DerivationStore` as ``store`` to
     make derivations survive the process: memory misses probe the store by
@@ -207,7 +209,6 @@ class DerivationCache:
 
     store: "DerivationStore | None" = None
     max_entries: int = MEMORY_LIMIT
-    max_pins: int = PIN_LIMIT
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -224,8 +225,6 @@ class DerivationCache:
     _compiled: dict[int, CompiledWorkflow] = field(default_factory=dict)
     #: Shared module tier: keyed by module *content* fingerprint, so any two
     #: workflows containing the same module hit the same entries.
-    _modules: dict[int, Module] = field(default_factory=dict)
-    _module_fingerprints: dict[int, str] = field(default_factory=dict)
     _module_requirements: dict[tuple, RequirementList] = field(default_factory=dict)
     _compiled_modules: dict[str, CompiledModule] = field(default_factory=dict)
     derivation_hits: int = 0
@@ -261,7 +260,7 @@ class DerivationCache:
         if key in self._workflows:
             return key
         self._workflows[key] = workflow
-        if self.max_pins and len(self._workflows) > self.max_pins:
+        if self.max_entries and len(self._workflows) > self.max_entries:
             # Evict the oldest pin without seeded requirement lists (those
             # are not re-derivable; everything id-keyed is).  Entries go
             # with the pin so a recycled id can never alias stale state.
@@ -269,21 +268,6 @@ class DerivationCache:
             for old in list(self._workflows):
                 if old != key and old not in seeded:
                     self._evict_pin(old)
-                    break
-        return key
-
-    def _pin_module(self, module: Module) -> int:
-        key = id(module)
-        if key in self._modules:
-            return key
-        self._modules[key] = module
-        if self.max_pins and len(self._modules) > self.max_pins:
-            # Module-level artifacts are content-keyed (fingerprint
-            # strings), so only the pin and its id -> fingerprint memo go.
-            for old in list(self._modules):
-                if old != key:
-                    del self._modules[old]
-                    self._module_fingerprints.pop(old, None)
                     break
         return key
 
@@ -301,27 +285,8 @@ class DerivationCache:
         key = self._pin(workflow)
         cached = self._fingerprints.get(key)
         if cached is None:
-            from ..workloads.fingerprint import workflow_fingerprint
-
             cached = workflow_fingerprint(workflow)
             self._fingerprints[key] = cached
-        return cached
-
-    @_locked
-    def module_fingerprint(self, module: Module) -> str:
-        """The module's content hash (shared-tier key), computed at most once.
-
-        Costs and privacy flags are excluded (see
-        :func:`repro.workloads.module_fingerprint`), so a what-if cost
-        override or a privatization maps to the same entry.
-        """
-        key = self._pin_module(module)
-        cached = self._module_fingerprints.get(key)
-        if cached is None:
-            from ..workloads.fingerprint import module_fingerprint
-
-            cached = module_fingerprint(module)
-            self._module_fingerprints[key] = cached
         return cached
 
     @_locked
@@ -378,7 +343,7 @@ class DerivationCache:
         when a store is attached, on disk (privacy-level memos included, so
         a round-tripped pack answers repeat sweeps from the memo).
         """
-        fingerprint = self.module_fingerprint(module)
+        fingerprint = module_fingerprint(module)
         cached = self._compiled_modules.get(fingerprint)
         if cached is not None:
             return cached
@@ -412,7 +377,7 @@ class DerivationCache:
         how the lookup was served.
         """
         backend = resolve_backend(backend)
-        fingerprint = self.module_fingerprint(module)
+        fingerprint = module_fingerprint(module)
         key = (fingerprint, gamma, kind, backend)
         cached = self._module_requirements.get(key)
         if cached is not None:
@@ -664,8 +629,6 @@ class DerivationCache:
         self._relations.clear()
         self._out_sets.clear()
         self._compiled.clear()
-        self._modules.clear()
-        self._module_fingerprints.clear()
         self._module_requirements.clear()
         self._compiled_modules.clear()
         self.derivation_hits = self.derivation_misses = 0

@@ -15,11 +15,15 @@ executions sharing ``x``'s *visible-input* value.  On packed codes both
 projections are single AND-masks, so ``D_x`` reduces to distinct-counting
 masked integers — on numpy-eligible relations one ``np.unique`` call.
 
-Privacy levels are Γ-independent, so they are memoized per visible bitmask:
-a subset sweep (requirement derivation probes up to ``2^k`` hidden sets)
-evaluates each distinct visible mask once, and safety monotonicity
-(Proposition 1) prunes every superset of an already-found minimal safe set
-without touching the relation at all.
+Privacy levels are Γ-independent, so they are memoized per visible bitmask
+and each distinct visible mask is evaluated once.  The minimal safe hidden
+subsets (a set-requirement list) are found by a **levelwise** search: by
+safety monotonicity (Proposition 1) the unsafe hidden sets are closed
+downward, so the search only evaluates candidates whose every immediate
+subset was unsafe — the negative border of that family — instead of all
+``2^k`` hidden sets.  The full safe family is the upward closure of the
+minimal sets and is decided by mask containment without touching the
+relation.
 
 Since PR 8 the sweep itself is **batched**: instead of one ``np.unique``
 pass over the packed rows per candidate mask,
@@ -89,6 +93,42 @@ def _check_gamma(gamma: int) -> None:
         raise PrivacyError("the privacy requirement Γ must be at least 1")
 
 
+def _join_unsafe(
+    unsafe: Sequence[tuple[int, ...]], n_names: int
+) -> list[tuple[int, ...]]:
+    """The next level's candidates: sets whose every subset one size down is unsafe.
+
+    ``unsafe`` holds the unsafe ascending index tuples of one size ``k``, in
+    lexicographic order.  Two of them sharing their first ``k - 1`` indices
+    join into one size-``k + 1`` candidate, which is kept only if its other
+    size-``k`` subsets are unsafe too.  The output is in lexicographic order.
+    """
+    if not unsafe:
+        return []
+    if not unsafe[0]:  # the empty set was unsafe: every singleton is a candidate
+        return [(index,) for index in range(n_names)]
+    known = set(unsafe)
+    candidates: list[tuple[int, ...]] = []
+    start = 0
+    while start < len(unsafe):
+        prefix = unsafe[start][:-1]
+        stop = start
+        while stop < len(unsafe) and unsafe[stop][:-1] == prefix:
+            stop += 1
+        tails = [combo[-1] for combo in unsafe[start:stop]]
+        for i, low in enumerate(tails):
+            for high in tails[i + 1 :]:
+                candidate = prefix + (low, high)
+                # Dropping ``low`` or ``high`` gives the two joined parents.
+                if all(
+                    candidate[:drop] + candidate[drop + 1 :] in known
+                    for drop in range(len(prefix))
+                ):
+                    candidates.append(candidate)
+        start = stop
+    return candidates
+
+
 class CompiledModule:
     """Bit-compiled form of one module's (possibly restricted) relation."""
 
@@ -108,9 +148,16 @@ class CompiledModule:
     def __init__(self, module: "Module", relation: "Relation | None" = None) -> None:
         self.module = module
         self.relation = relation
-        rel = relation if relation is not None else module.relation()
         self.layout = BitLayout(module.schema)
-        self.packed = PackedRelation.from_relation(rel, self.layout)
+        if relation is None and module.table is not None:
+            # A table-backed module packs straight from its table: no
+            # relation is materialized (or left cached on the module).
+            rows = (key + image for key, image in module.table.items())
+            codes = self.layout.pack_rows(rows, module.attribute_names)
+            self.packed = PackedRelation(self.layout, codes)
+        else:
+            rel = relation if relation is not None else module.relation()
+            self.packed = PackedRelation.from_relation(rel, self.layout)
         self.input_bits = self.layout.mask_for(module.input_names)
         self.output_bits = self.layout.mask_for(module.output_names)
         self.all_bits = self.input_bits | self.output_bits
@@ -396,61 +443,78 @@ class CompiledModule:
         }
 
     # -- safe-subset sweeps ---------------------------------------------------
+    def minimal_safe_hidden_subsets(
+        self, gamma: int, hidable: Iterable[str] | None = None
+    ) -> list[frozenset[str]]:
+        """The inclusion-minimal safe hidden subsets (an antichain), levelwise.
+
+        By Proposition 1 safety is monotone in the hidden set, so the unsafe
+        hidden sets form a downward-closed family and the minimal safe sets
+        are exactly its negative border (levelwise search, Mannila &
+        Toivonen 1997).  Level ``k + 1`` holds only the sets whose size-``k``
+        subsets were *all* unsafe (an Apriori join of the unsafe index
+        tuples), each level is one :meth:`is_safe_hidden_batch` call, and
+        every safe candidate is minimal because all of its immediate subsets
+        were unsafe.  Nothing above the border is ever evaluated.
+
+        Repeated and unknown ``hidable`` names are dropped: an unknown name
+        hides nothing, so no minimal set contains one.  The result is in
+        ``(size, sorted names)`` order, like the reference filter's.
+        """
+        _check_gamma(gamma)
+        source = hidable if hidable is not None else self.module.attribute_names
+        field_masks = self.layout.field_masks
+        # Sorted names make ascending index tuples sort like sorted names.
+        names = sorted({name for name in source if name in field_masks})
+        masks = [field_masks[name] for name in names]
+        minimal: list[frozenset[str]] = []
+        level: list[tuple[int, ...]] = [()]
+        while level:
+            hidden = []
+            for combo in level:
+                bits = 0
+                for index in combo:
+                    bits |= masks[index]
+                hidden.append(bits)
+            unsafe: list[tuple[int, ...]] = []
+            for combo, safe in zip(level, self.is_safe_hidden_batch(hidden, gamma)):
+                if safe:
+                    minimal.append(frozenset(names[index] for index in combo))
+                else:
+                    unsafe.append(combo)
+            level = _join_unsafe(unsafe, len(names))
+        return minimal
+
     def enumerate_safe_hidden_subsets(
         self, gamma: int, hidable: Iterable[str] | None = None
     ) -> list[frozenset[str]]:
         """All safe hidden subsets of the hidable attributes, sorted.
 
-        Sweeps size by size, dispatching each level's unpruned candidates as
-        one batched evaluation: candidates covering a minimal safe mask from
-        an earlier level are safe by monotonicity (Proposition 1) and never
-        reach the relation; the rest share one vectorized pass (or the
-        scalar fallback) through :meth:`is_safe_hidden_batch`.  Verdicts —
-        and therefore the returned list — are identical to the one-mask-at-
-        a-time sweep, which only differed in evaluating same-size supersets
-        of freshly-found minimal masks that monotonicity already decides.
+        The upward closure of :meth:`minimal_safe_hidden_subsets`: a hidden
+        set is safe exactly when it covers a minimal safe set
+        (Proposition 1), so only the levelwise border touches the relation
+        and every other subset is decided by mask containment.  Subsets
+        range over ``hidable`` as given, repeated and unknown names
+        included, exactly like the reference enumeration.
         """
-        _check_gamma(gamma)
         names = (
             tuple(hidable) if hidable is not None else self.module.attribute_names
         )
+        mask_for = self.layout.mask_for
+        minimal = [
+            mask_for(subset)
+            for subset in self.minimal_safe_hidden_subsets(gamma, hidable=names)
+        ]
         masks = [self.layout.field_masks.get(name, 0) for name in names]
         safe: list[frozenset[str]] = []
-        minimal_masks: list[int] = []
         for size in range(len(names) + 1):
-            level: list[tuple[tuple[int, ...], int, bool]] = []
-            batch: list[int] = []
             for combo in itertools.combinations(range(len(names)), size):
                 bits = 0
                 for index in combo:
                     bits |= masks[index]
-                pruned = any(m & bits == m for m in minimal_masks)
-                level.append((combo, bits, pruned))
-                if not pruned:
-                    batch.append(bits)
-            verdicts: dict[int, bool] = (
-                dict(zip(batch, self.is_safe_hidden_batch(batch, gamma)))
-                if batch
-                else {}
-            )
-            for combo, bits, pruned in level:
-                if pruned:
+                if any(m & bits == m for m in minimal):
                     safe.append(frozenset(names[index] for index in combo))
-                elif verdicts[bits]:
-                    safe.append(frozenset(names[index] for index in combo))
-                    if not any(m & bits == m for m in minimal_masks):
-                        minimal_masks.append(bits)
         return sorted(safe, key=lambda s: (len(s), tuple(sorted(s))))
-
-    def minimal_safe_hidden_subsets(
-        self, gamma: int, hidable: Iterable[str] | None = None
-    ) -> list[frozenset[str]]:
-        """The inclusion-minimal safe hidden subsets (an antichain)."""
-        minimal: list[frozenset[str]] = []
-        for candidate in self.enumerate_safe_hidden_subsets(gamma, hidable=hidable):
-            if not any(other <= candidate for other in minimal):
-                minimal.append(candidate)
-        return minimal
 
     def _all_hidden_choices_safe(
         self,

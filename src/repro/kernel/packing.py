@@ -184,19 +184,24 @@ class BitLayout:
         return code
 
     def pack_relation(self, relation: "Relation") -> list[int]:
-        """Pack the rows of a relation, in row order.
+        """Pack the rows of a relation, in row order (see :meth:`pack_rows`)."""
+        return self.pack_rows(relation.tuples, relation.attribute_names)
 
-        Only the layout's attributes are packed; the relation may carry its
+    def pack_rows(
+        self, rows: Iterable[Sequence["Value"]], names: Sequence[str]
+    ) -> list[int]:
+        """Pack positional rows whose columns are ``names``, in row order.
+
+        Only the layout's attributes are packed; the rows may carry their
         columns in any order (they are matched by name) and duplicates of
         the projection onto the layout's attributes are preserved.
         """
-        rel_names = relation.attribute_names
         encoders = [
-            (rel_names.index(name), self._codes[name], self.offsets[name])
+            (names.index(name), self._codes[name], self.offsets[name])
             for name in self.names
         ]
         packed: list[int] = []
-        for tup in relation.tuples:
+        for tup in rows:
             code = 0
             for pos, codebook, offset in encoders:
                 code |= codebook[tup[pos]] << offset

@@ -80,6 +80,11 @@ def workflow_fingerprint(workflow: "Workflow") -> str:
     return payload_fingerprint(canonical_workflow_payload(workflow))
 
 
+#: ``json.dumps(row, sort_keys=True, default=str)`` with the encoder built
+#: once: the sort key of every table row of every module fingerprinted.
+_row_key = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:
     """Reduce a serialized module dict to its derivation-relevant content.
 
@@ -104,7 +109,7 @@ def _canonical_module_dict(payload: Mapping[str, Any]) -> dict[str, Any]:
         # not the listing order.
         "table": sorted(
             ([list(key), list(value)] for key, value in payload["table"]),
-            key=lambda entry: json.dumps(entry, sort_keys=True, default=str),
+            key=_row_key,
         ),
     }
 
@@ -126,5 +131,15 @@ def module_payload_fingerprint(payload: Mapping[str, Any]) -> str:
 
 
 def module_fingerprint(module: "Module") -> str:
-    """Stable content hash of one module's derivation-relevant content."""
-    return payload_fingerprint(canonical_module_payload(module))
+    """Stable content hash of one module's derivation-relevant content.
+
+    Computed once per module object and memoized on it; content-preserving
+    clones (:meth:`~repro.core.module.Module.as_private`,
+    :meth:`~repro.core.module.Module.with_attribute_costs`) inherit the
+    memo, :meth:`~repro.core.module.Module.with_function` does not.
+    """
+    cached = module._fingerprint
+    if cached is None:
+        cached = payload_fingerprint(canonical_module_payload(module))
+        module._fingerprint = cached
+    return cached

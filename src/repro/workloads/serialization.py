@@ -94,29 +94,13 @@ def _module_to_dict(module: Module) -> dict[str, Any]:
 
 
 def _module_from_dict(payload: Mapping[str, Any]) -> Module:
-    inputs = [_attribute_from_dict(item) for item in payload["inputs"]]
-    outputs = [_attribute_from_dict(item) for item in payload["outputs"]]
-    input_names = [a.name for a in inputs]
-    output_names = [a.name for a in outputs]
-    table = {
-        tuple(key): tuple(value) for key, value in payload["table"]
-    }
-
-    def function(values: Mapping[str, Any]) -> dict[str, Any]:
-        key = tuple(values[name] for name in input_names)
-        try:
-            image = table[key]
-        except KeyError as exc:
-            raise SchemaError(
-                f"module {payload['name']!r} has no tabulated output for {key!r}"
-            ) from exc
-        return dict(zip(output_names, image))
-
-    return Module(
+    """Rebuild a table-backed module: it keeps the tabulated functionality,
+    so re-serializing, fingerprinting or compiling it reads the table."""
+    return Module.from_table(
         payload["name"],
-        inputs,
-        outputs,
-        function,
+        [_attribute_from_dict(item) for item in payload["inputs"]],
+        [_attribute_from_dict(item) for item in payload["outputs"]],
+        {tuple(key): tuple(value) for key, value in payload["table"]},
         private=bool(payload.get("private", True)),
         privatization_cost=float(payload.get("privatization_cost", 1.0)),
     )

@@ -174,10 +174,11 @@ class TestSolverListing:
 
 
 class TestPinBounds:
-    """Pinned workflows/modules are bounded so long-lived caches cannot leak."""
+    """Pinned workflows are bounded by the cache's one bound; modules are
+    never pinned, so long-lived caches cannot leak."""
 
     def test_workflow_pins_evict_oldest_with_their_entries(self):
-        cache = DerivationCache(max_pins=3)
+        cache = DerivationCache(max_entries=3)
         workflows = [figure1_workflow() for _ in range(6)]
         for workflow in workflows:
             cache.requirements(workflow, 2, "set")
@@ -192,7 +193,7 @@ class TestPinBounds:
         assert cache.stats().derivation_misses == before
 
     def test_seeded_workflows_are_never_evicted(self):
-        cache = DerivationCache(max_pins=2)
+        cache = DerivationCache(max_entries=2)
         problem = SecureViewProblem.from_standalone_analysis(
             figure1_workflow(), 2, kind="set"
         )
@@ -204,11 +205,17 @@ class TestPinBounds:
         assert id(problem.workflow) in cache._workflows
         assert seeded.solve(solver="exact").cost == 3.0
 
-    def test_module_pins_are_bounded(self):
-        cache = DerivationCache(max_pins=2)
+    def test_module_tier_pins_no_modules(self):
+        cache = DerivationCache(max_entries=2)
+        modules = []
         for _ in range(5):
             workflow = figure1_workflow()
             for module in workflow.private_modules:
                 cache.module_requirement(module, 2, "set")
-        assert len(cache._modules) <= 2 + len(figure1_workflow().private_modules)
-        assert len(cache._module_fingerprints) == len(cache._modules)
+                modules.append(module)
+        assert not hasattr(cache, "_modules")
+        # The content fingerprint is memoized on each module instead.
+        assert all(module._fingerprint is not None for module in modules)
+        assert len({module._fingerprint for module in modules}) == len(
+            figure1_workflow().private_modules
+        )

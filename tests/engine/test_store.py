@@ -395,8 +395,10 @@ class TestTwoTierCache:
         for seed in range(4):
             cache.relation(random_workflow(3, seed=seed))
         assert len(cache._relations) <= 2
-        # Pins survive eviction so id() reuse can never alias an entry.
-        assert len(cache._workflows) == 4
+        # One bound for pins and entries: every entry is anchored by a live
+        # pin, so id() reuse can never alias an entry.
+        assert len(cache._workflows) <= 2
+        assert set(cache._relations) <= set(cache._workflows)
 
     def test_seeded_requirements_are_never_evicted(self):
         # Caller-provided lists may not be re-derivable (generators attach
@@ -412,6 +414,63 @@ class TestTwoTierCache:
             cache.requirements(random_workflow(3, seed=seed), 2, "set")
         served = cache.requirements(problem.workflow, problem.gamma, "set")
         assert served is problem.requirements
+
+
+class TestRequirementArtifactCompatibility:
+    """Set-requirement artifacts keep their bytes, so existing stores still hit.
+
+    The digests were recorded from stores written by the exhaustive
+    enumerate-and-filter sweep; the levelwise search and table-backed
+    modules must reproduce them byte for byte, from a generator module and
+    from its wire round trip alike.
+    """
+
+    # shape -> (module-tier digest, workflow-tier digest), Γ=2, kind="set".
+    DIGESTS = {
+        (4, 3): (
+            "031f541dbf93365cc21bbc94ea525cf342d03e53cb1845ca9e60f860e9fcaf6e",
+            "9426c9841cd296fe0b511153e989ab8ef4c8d6ade50f5c6999e9f4e99cd1b2ae",
+        ),
+        (7, 5): (
+            "932d14c89cd097a8f2029bdaafab6862b5ee70012318b611589f2f7b72d50405",
+            "c3122a5aba8d649daed8bdef393a4756ee8d4b24253ad130f8d5ff6dafc2f8cf",
+        ),
+        (8, 2): (
+            "a01844060114eeb7c15bd3f7a00b86aef38f900705f5a5ff4f238be446fcc99c",
+            "bb4c55d5e42cf6ef0daa97ecb850517ae706976a9da7cdac9ff968f2857ea4ad",
+        ),
+    }
+
+    @pytest.mark.parametrize("wire", [False, True], ids=["generated", "wire"])
+    @pytest.mark.parametrize("shape", sorted(DIGESTS))
+    def test_req_g2_set_kernel_bytes_are_unchanged(self, tmp_path, shape, wire):
+        import hashlib
+
+        from repro.core import Workflow
+        from repro.workloads import module_fingerprint, random_total_module
+        from repro.workloads.serialization import (
+            workflow_from_dict,
+            workflow_to_dict,
+        )
+
+        workflow = Workflow(
+            [random_total_module(11, *shape, "m0", "s0_")], name="store-compat"
+        )
+        if wire:
+            workflow = workflow_from_dict(workflow_to_dict(workflow))
+        cache = DerivationCache(store=DerivationStore(tmp_path / "store"))
+        cache.requirements(workflow, 2, "set")
+        module_fp = module_fingerprint(workflow.module("m0"))
+        workflow_fp = workflow_fingerprint(workflow)
+        root = tmp_path / "store"
+        artifacts = (
+            root / "modules" / module_fp[:2] / module_fp / "req-g2-set-kernel.json",
+            root / workflow_fp[:2] / workflow_fp / "req-g2-set-kernel.json",
+        )
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in artifacts
+        )
+        assert digests == self.DIGESTS[shape]
 
 
 class TestClearRegression:

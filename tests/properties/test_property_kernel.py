@@ -426,3 +426,89 @@ def test_workflow_privacy_verdicts_agree(seed, gamma, data):
     assert is_gamma_private_workflow(
         workflow, visible, gamma, backend="kernel"
     ) == is_gamma_private_workflow(workflow, visible, gamma, backend="reference")
+
+
+# ---------------------------------------------------------------------------
+# Levelwise minimal safe subsets and their upward closure
+# ---------------------------------------------------------------------------
+
+levelwise_shapes = st.tuples(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levelwise_shapes,
+    st.sampled_from([1, 2, 3, 4, 8]),
+    st.one_of(
+        st.none(),
+        st.lists(
+            st.sampled_from(["i0", "i1", "i3", "o0", "o2", "ghost", "zz"]),
+            max_size=6,
+        ),
+    ),
+    st.booleans(),
+)
+def test_levelwise_sweeps_match_reference(shape, gamma, hidable, batched):
+    """Levelwise minimal sets and their upward closure equal the reference.
+
+    ``hidable`` may be absent, empty, repeat names, or name attributes the
+    module does not have (``ghost``, ``zz`` and, for small shapes, ``i3``
+    or ``o2``); both sweep paths must agree with the reference anyway.
+    """
+    seed, n_in, n_out = shape
+    module = random_boolean_module(seed, n_in, n_out)
+    with sweep_batching(batched):
+        compiled = CompiledModule(module)
+        minimal = compiled.minimal_safe_hidden_subsets(gamma, hidable=hidable)
+        safe = compiled.enumerate_safe_hidden_subsets(gamma, hidable=hidable)
+    assert minimal == minimal_safe_hidden_subsets(
+        module, gamma, hidable=hidable, backend="reference"
+    )
+    assert safe == enumerate_safe_hidden_subsets(
+        module, gamma, hidable=hidable, backend="reference"
+    )
+    if gamma > module.range_size():
+        # No hidden set reaches a Γ above the output range: empty antichain.
+        assert minimal == [] and safe == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(levelwise_shapes)
+def test_levelwise_search_stops_at_the_border(shape):
+    """Every evaluated mask is an empty set or a set whose every immediate
+    subset is unsafe, and every minimal set is among them."""
+    seed, n_in, n_out = shape
+    module = random_boolean_module(seed, n_in, n_out)
+    compiled = CompiledModule(module)
+    minimal = compiled.minimal_safe_hidden_subsets(2)
+    evaluated = set(compiled._level_cache)
+    assert compiled.sweep_stats["scalar_masks"] == len(evaluated)
+    all_bits = compiled.all_bits
+    layout = compiled.layout
+    for visible in evaluated:
+        hidden = all_bits & ~visible
+        for name in module.attribute_names:
+            bit = layout.field_masks[name]
+            if hidden & bit:
+                assert compiled.privacy_level_bits(visible | bit) < 2
+    for subset in minimal:
+        assert all_bits & ~layout.mask_for(subset) in evaluated
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([2, 3]))
+def test_levelwise_batched_path_matches_reference(seed, gamma):
+    """On a numpy-sized relation the per-level batch path agrees too."""
+    module = random_boolean_module(seed, 8, 1, name="big", prefix="n")
+    reference = minimal_safe_hidden_subsets(module, gamma, backend="reference")
+    for batched in (True, False):
+        with sweep_batching(batched):
+            compiled = CompiledModule(module)
+            assert compiled.minimal_safe_hidden_subsets(gamma) == reference
+        if batched and HAVE_NUMPY and reference != [frozenset()]:
+            # The empty set was unsafe, so level 1 batches 9 singletons.
+            assert compiled.sweep_stats["batched_masks"] > 0
